@@ -29,7 +29,12 @@ from .recognizers import in_class, is_perfect, parse_class_spec
 from .solver import BudgetError, SolveBudget, decide_cover, exact_cover_number
 from .verify import run_suite
 
-CONSTRUCTIVE_KINDS = ("bipartite", "chi-le", "chi-le-f")
+# class kind -> formula-sized construction
+CONSTRUCTIONS = {
+    "bipartite": lambda g, spec: bipartite_cover(g),
+    "chi-le": lambda g, spec: chi_le_k_cover(g, spec.k),
+    "chi-le-f": lambda g, spec: chibound_cover(g, spec.f),
+}
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
@@ -82,21 +87,15 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 def _cmd_cover(args: argparse.Namespace) -> int:
     spec = parse_class_spec(args.cls)
-    if spec.kind not in CONSTRUCTIVE_KINDS:
+    construct = CONSTRUCTIONS.get(spec.kind)
+    if construct is None:
         print(
             f"no constructive cover for class {spec}; "
             f"use `covernum solve --class {spec}` for the exact oracle",
             file=sys.stderr,
         )
         return 4
-    g = _read_graph(args)
-    if spec.kind == "bipartite":
-        cert = bipartite_cover(g)
-    elif spec.kind == "chi-le":
-        cert = chi_le_k_cover(g, spec.k)
-    else:
-        cert = chibound_cover(g, spec.f)
-    _emit(certificate_to_json(cert))
+    _emit(certificate_to_json(construct(_read_graph(args), spec)))
     return 0
 
 
@@ -179,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--class", dest="cls", required=True,
                    help="constructive classes: bipartite, chi-le:<k>, chi-le-f:<f>")
-    p.add_argument("--construct", action="store_true",
-                   help="accepted for symmetry; construction is the only mode")
     p.set_defaults(fn=_cmd_cover)
 
     p = sub.add_parser("solve", help="exact minimum cover by enumeration")

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 from .generators import hypercube
 from .graphs import EdgeSet, Graph, edge_index, full_edge_set, spanning_subgraph
 from .invariants import Coloring, ceil_log, chromatic_number, clique_number
-from .recognizers import ClassSpec, FSpec, in_class
+from .recognizers import ClassSpec, FSpec, check_witness, in_class
 
 
 def formula_biparticity(chi: int) -> int:
@@ -81,30 +81,30 @@ def _finish(g: Graph, spec: ClassSpec, parts: List[EdgeSet]) -> CoverCertificate
     return CoverCertificate(g, spec, tuple(parts), tuple(wits), len(parts))
 
 
-def chi_le_k_cover(g: Graph, k: int) -> CoverCertificate:
-    """Cover by ceil(log_k chi) many k-colorable spanning subgraphs.
+def _digit_cover(g: Graph, spec: ClassSpec, base: int) -> CoverCertificate:
+    """Cover by ceil(log_base chi) parts with at most base colors each.
 
     Part i keeps the edges whose endpoint colors differ in the i-th
-    base-k digit; coloring a part by that digit shows chi <= k.
+    base-`base` digit of an optimal coloring; coloring a part by that
+    digit shows chi <= base.
     """
-    if k < 2:
-        raise ValueError(f"digit base k must be >= 2, got {k}")
-    spec = ClassSpec("chi-le", k=k)
     chi, coloring = chromatic_number(g)
     if chi <= 1:
         return CoverCertificate(g, spec, (), (), 0)
-    t = ceil_log(k, chi)
-    return _finish(g, spec, _digit_parts(g, coloring.colors, k, t))
+    t = ceil_log(base, chi)
+    return _finish(g, spec, _digit_parts(g, coloring.colors, base, t))
+
+
+def chi_le_k_cover(g: Graph, k: int) -> CoverCertificate:
+    """Cover by ceil(log_k chi) many k-colorable spanning subgraphs."""
+    if k < 2:
+        raise ValueError(f"digit base k must be >= 2, got {k}")
+    return _digit_cover(g, ClassSpec("chi-le", k=k), k)
 
 
 def bipartite_cover(g: Graph) -> CoverCertificate:
     """Cover by ceil(log2 chi) bipartite spanning subgraphs."""
-    spec = ClassSpec("bipartite")
-    chi, coloring = chromatic_number(g)
-    if chi <= 1:
-        return CoverCertificate(g, spec, (), (), 0)
-    t = ceil_log(2, chi)
-    return _finish(g, spec, _digit_parts(g, coloring.colors, 2, t))
+    return _digit_cover(g, ClassSpec("bipartite"), 2)
 
 
 def chibound_cover(g: Graph, f: FSpec) -> CoverCertificate:
@@ -116,17 +116,12 @@ def chibound_cover(g: Graph, f: FSpec) -> CoverCertificate:
     clique number as g and its digit coloring stays below f(omega).
     """
     spec = ClassSpec("chi-le-f", f=f)
+    if not f.majorizes_identity:
+        # constant bound: plain base-k digit cover, same as chi_le_k_cover
+        return _digit_cover(g, spec, f.value)
     chi, coloring = chromatic_number(g)
     if chi <= 1:
         return CoverCertificate(g, spec, (), (), 0)
-    if f.form == "const":
-        # constant bound: plain base-k digit cover, same as chi_le_k_cover
-        if f.value < 2:
-            raise ValueError(f"cover base f(omega)={f.value} is below 2, no cover exists")
-        t = ceil_log(f.value, chi)
-        return _finish(g, spec, _digit_parts(g, coloring.colors, f.value, t))
-    if not f.majorizes_identity:
-        raise ValueError("f must majorize the identity")
     omega, clique = clique_number(g)
     base = f(omega)
     t = ceil_log(base, chi)
@@ -208,10 +203,11 @@ def hypercube_lower_bound(d: int) -> int:
 
 
 def check_certificate(g: Graph, cert: CoverCertificate) -> bool:
-    """Re-derive everything: host, union, claimed count, part membership."""
+    """Re-derive host, union and claimed count; check each part's stored
+    witness on its spanning subgraph (perfect parts are re-derived)."""
     if cert.host != g:
         return False
-    if cert.formula != len(cert.parts):
+    if cert.formula != len(cert.parts) or len(cert.witnesses) != len(cert.parts):
         return False
     union = 0
     for p in cert.parts:
@@ -220,7 +216,7 @@ def check_certificate(g: Graph, cert: CoverCertificate) -> bool:
         union |= p.bits
     if union != full_edge_set(g).bits:
         return False
-    for p in cert.parts:
-        if in_class(spanning_subgraph(g, p), cert.spec) is None:
-            return False
-    return True
+    return all(
+        check_witness(spanning_subgraph(g, p), cert.spec, w)
+        for p, w in zip(cert.parts, cert.witnesses)
+    )

@@ -196,27 +196,29 @@ def spanning_subgraph(g: Graph, es: EdgeSet) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def induced_rows(g: Graph, vertex_mask: int) -> Tuple[int, List[int]]:
+def induced_rows(rows: Sequence[int], vertex_mask: int) -> Tuple[int, Sequence[int]]:
     """Induced subgraph on the vertices of vertex_mask, relabelled compactly.
 
-    Returns (k, rows) where k is the number of chosen vertices and rows are
-    adjacency masks over the new labels 0..k-1 (increasing original id).
+    Returns (k, rows') where k is the number of chosen vertices and rows'
+    are adjacency masks over the new labels 0..k-1 (increasing original
+    id).  A mask that keeps every vertex returns the given rows unchanged.
     """
-    verts = []
-    m = vertex_mask & g.full_vertex_mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        verts.append(v)
+    n = len(rows)
+    vertex_mask &= (1 << n) - 1
+    if vertex_mask == (1 << n) - 1:
+        return n, rows
+    verts = bits_of(vertex_mask)
     pos = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    for i, v in enumerate(verts):
-        row = g.rows[v] & vertex_mask
+    out = []
+    for v in verts:
+        row = rows[v] & vertex_mask
+        acc = 0
         while row:
             u = (row & -row).bit_length() - 1
             row &= row - 1
-            rows[i] |= 1 << pos[u]
-    return len(verts), rows
+            acc |= 1 << pos[u]
+        out.append(acc)
+    return len(verts), out
 
 
 def bits_of(mask: int) -> List[int]:

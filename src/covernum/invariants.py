@@ -206,27 +206,12 @@ def chi_of_rows(n: int, rows: Sequence[int]) -> int:
         return 0
     best = 1
     for comp in _components(n, rows):
-        cn, crows = _masked_rows(rows, comp)
+        cn, crows = induced_rows(rows, comp)
         k = max(_max_clique_size(crows, (1 << cn) - 1), 1)
         while k < cn and k_colorable_rows(cn, crows, k) is None:
             k += 1
         best = max(best, k)
     return best
-
-
-def _masked_rows(rows: Sequence[int], mask: int) -> Tuple[int, List[int]]:
-    verts = bits_of(mask)
-    pos = {v: i for i, v in enumerate(verts)}
-    out = []
-    for v in verts:
-        r = rows[v] & mask
-        acc = 0
-        while r:
-            u = (r & -r).bit_length() - 1
-            r &= r - 1
-            acc |= 1 << pos[u]
-        out.append(acc)
-    return len(verts), out
 
 
 @lru_cache(maxsize=65536)
@@ -238,7 +223,7 @@ def _chromatic_cached(g: Graph) -> Tuple[int, Coloring]:
     chi = 1
     for comp in _components(n, rows):
         verts = bits_of(comp)
-        cn, crows = _masked_rows(rows, comp)
+        cn, crows = induced_rows(rows, comp)
         k = max(_max_clique_size(crows, (1 << cn) - 1), 1)
         sol = k_colorable_rows(cn, crows, k)
         while sol is None:
@@ -265,7 +250,7 @@ def is_k_colorable(g: Graph, k: int) -> Optional[Coloring]:
     used = 1
     for comp in _components(g.n, g.rows):
         verts = bits_of(comp)
-        cn, crows = _masked_rows(g.rows, comp)
+        cn, crows = induced_rows(g.rows, comp)
         sol = k_colorable_rows(cn, crows, k)
         if sol is None:
             return None
@@ -302,5 +287,5 @@ def check_clique(g: Graph, witness: CliqueWitness) -> bool:
 
 def induced_chi_omega(g: Graph, vertex_mask: int) -> Tuple[int, int]:
     """(chi, omega) of the induced subgraph on the given vertex mask."""
-    cn, crows = induced_rows(g, vertex_mask)
+    cn, crows = induced_rows(g.rows, vertex_mask)
     return chi_of_rows(cn, crows), omega_of_rows(cn, crows)

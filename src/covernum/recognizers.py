@@ -4,16 +4,19 @@ Classes: bipartite, chi-le:k, chi-le-f:<f>, chi-eq-omega, perfect,
 unipolar, co-unipolar and gsp (unipolar or co-unipolar).  Recognition is
 exact; perfection goes through the absence of odd holes in the graph and
 its complement, everything else through explicit search.
+
+Each class is declared once, as an entry of the CLASSES registry; spec
+parsing, membership, witnesses, witness checks and the solver's colour
+bounds are all lookups into it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .graphs import CapacityError, Graph, bits_of, complement
+from .graphs import CapacityError, Graph, bits_of, complement, induced_rows
 from .invariants import (
     CliqueWitness,
     Coloring,
@@ -34,7 +37,8 @@ class FSpec:
 
     Forms: identity, plus (x + c), pow (x ** a), const (k), table (explicit
     values for x = 1..len).  All forms must be non-decreasing and, except
-    for const, must majorize the identity; const is flagged non-majorizing.
+    for const, must majorize the identity; const is flagged non-majorizing
+    and needs k >= 2, below which no graph with an edge is a member.
     """
 
     form: str
@@ -51,8 +55,8 @@ class FSpec:
             if self.value < 1:
                 raise ValueError("pow form needs an exponent >= 1")
         elif self.form == "const":
-            if self.value < 1:
-                raise ValueError("const form needs a value >= 1")
+            if self.value < 2:
+                raise ValueError("const form needs a value >= 2")
         elif self.form == "table":
             if not self.table:
                 raise ValueError("table form needs at least one value")
@@ -96,32 +100,28 @@ class FSpec:
         return f"{self.form}:{self.value}"
 
 
+IDENTITY = FSpec("identity")
+
+
 def identity_f() -> FSpec:
-    return FSpec("identity")
+    return IDENTITY
 
 
 def parse_f_spec(text: str) -> FSpec:
+    """Inverse of str(FSpec): identity, plus:<c>, pow:<a>, const:<k> or table:<v1,...>."""
     if text == "identity":
-        return FSpec("identity")
+        return IDENTITY
     head, sep, rest = text.partition(":")
-    if head in ("plus", "pow", "const") and sep:
+    if head in ("plus", "pow", "const", "table") and sep:
         try:
+            if head == "table":
+                return FSpec(head, table=tuple(int(v) for v in rest.split(",")))
             return FSpec(head, int(rest))
         except ValueError as exc:
             raise ValueError(f"bad f spec {text!r}: {exc}") from None
-    raise ValueError(f"bad f spec {text!r}: expected identity, plus:<c>, pow:<a> or const:<k>")
-
-
-CLASS_KINDS = (
-    "bipartite",
-    "chi-le",
-    "chi-le-f",
-    "chi-eq-omega",
-    "perfect",
-    "unipolar",
-    "co-unipolar",
-    "gsp",
-)
+    raise ValueError(
+        f"bad f spec {text!r}: expected identity, plus:<c>, pow:<a>, const:<k> or table:<v1,...>"
+    )
 
 
 @dataclass(frozen=True)
@@ -131,32 +131,35 @@ class ClassSpec:
     f: Optional[FSpec] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in CLASS_KINDS:
+        entry = CLASSES.get(self.kind)
+        if entry is None:
             raise ValueError(f"unknown class kind {self.kind!r}")
-        if self.kind == "chi-le" and self.k < 1:
-            raise ValueError("chi-le requires k >= 1")
-        if self.kind == "chi-le-f" and self.f is None:
-            raise ValueError("chi-le-f requires an f spec")
+        if entry.param == "k" and self.k < 1:
+            raise ValueError(f"{self.kind} requires k >= 1")
+        if entry.param == "f" and self.f is None:
+            raise ValueError(f"{self.kind} requires an f spec")
 
     def __str__(self) -> str:
-        if self.kind == "chi-le":
-            return f"chi-le:{self.k}"
-        if self.kind == "chi-le-f":
-            return f"chi-le-f:{self.f}"
-        return self.kind
+        param = CLASSES[self.kind].param
+        return self.kind if param is None else f"{self.kind}:{getattr(self, param)}"
+
+
+_PARAM_PARSERS = {"k": int, "f": parse_f_spec}
 
 
 def parse_class_spec(text: str) -> ClassSpec:
-    if text in ("bipartite", "chi-eq-omega", "perfect", "unipolar", "co-unipolar", "gsp"):
-        return ClassSpec(text)
-    if text.startswith("chi-le-f:"):
-        return ClassSpec("chi-le-f", f=parse_f_spec(text[len("chi-le-f:"):]))
-    if text.startswith("chi-le:"):
-        try:
-            return ClassSpec("chi-le", k=int(text[len("chi-le:"):]))
-        except ValueError:
-            raise ValueError(f"bad class spec {text!r}: chi-le needs an integer") from None
-    raise ValueError(f"unknown class spec {text!r}")
+    """Inverse of str(ClassSpec): a kind, then ':<k>' or ':<f>' if the kind takes one."""
+    kind, sep, arg = text.partition(":")
+    entry = CLASSES.get(kind)
+    if entry is None or bool(sep) != (entry.param is not None):
+        raise ValueError(f"unknown class spec {text!r}")
+    if entry.param is None:
+        return ClassSpec(kind)
+    try:
+        value = _PARAM_PARSERS[entry.param](arg)
+    except ValueError as exc:
+        raise ValueError(f"bad class spec {text!r}: {exc}") from None
+    return ClassSpec(kind, **{entry.param: value})
 
 
 def bipartition_rows(n: int, rows: Sequence[int]) -> Optional[Tuple[int, int]]:
@@ -300,13 +303,8 @@ def is_gsp(g: Graph) -> Optional[Tuple[str, Tuple[int, List[int]]]]:
 
 def is_chi_eq_omega(g: Graph) -> Optional[Tuple[Coloring, CliqueWitness]]:
     """A coloring and a clique of equal size, or None if chi > omega."""
-    if g.n == 0:
-        return Coloring((), 0), CliqueWitness((), 0)
-    w, clique = clique_number(g)
-    sol = k_colorable_rows(g.n, g.rows, w)
-    if sol is None:
-        return None
-    return Coloring(tuple(sol), max(sol) + 1), clique
+    res = is_chi_le_f(g, IDENTITY)
+    return None if res is None else res[:2]
 
 
 def is_chi_le_f(g: Graph, f: FSpec) -> Optional[Tuple[Coloring, CliqueWitness, int]]:
@@ -315,10 +313,7 @@ def is_chi_le_f(g: Graph, f: FSpec) -> Optional[Tuple[Coloring, CliqueWitness, i
         return Coloring((), 0), CliqueWitness((), 0), 0
     w, clique = clique_number(g)
     fw = f(w)
-    if fw >= g.n:
-        sol = k_colorable_rows(g.n, g.rows, g.n)
-    else:
-        sol = k_colorable_rows(g.n, g.rows, fw)
+    sol = k_colorable_rows(g.n, g.rows, fw)
     if sol is None:
         return None
     return Coloring(tuple(sol), max(sol) + 1), clique, fw
@@ -376,169 +371,98 @@ def is_perfect(g: Graph) -> Tuple[bool, Optional[Tuple[str, Tuple[int, ...]]]]:
     return True, None
 
 
-# --- membership fast paths (no witness construction), used by the solver ---
+# --- membership over raw rows (no witness construction), for the solver ---
 
-def _active_rows(n: int, rows: Sequence[int]) -> Tuple[int, List[int]]:
+MemberFn = Callable[[int, Sequence[int]], bool]
+
+
+def _drop_isolated(rows: Sequence[int]) -> Tuple[int, Sequence[int]]:
     """Drop isolated vertices and relabel compactly.
 
-    Sound for every class here: an isolated vertex is a singleton cluster,
-    joins the clique side of the complement, and cannot lie on an induced
-    cycle in the graph or its complement.
+    Sound for perfect and co-unipolar: an isolated vertex cannot lie on an
+    induced cycle in the graph or its complement, and it joins the clique
+    side of the complement.
     """
-    keep = [v for v in range(n) if rows[v]]
-    if len(keep) == n:
-        return n, list(rows)
-    pos = {v: i for i, v in enumerate(keep)}
-    out = []
-    for v in keep:
-        r = rows[v]
-        acc = 0
-        while r:
-            w = (r & -r).bit_length() - 1
-            r &= r - 1
-            acc |= 1 << pos[w]
-        out.append(acc)
-    return len(keep), out
+    active = 0
+    for r in rows:
+        active |= r
+    return induced_rows(rows, active)
+
+
+def _complement_rows(n: int, rows: Sequence[int]) -> List[int]:
+    full = (1 << n) - 1
+    return [~rows[v] & full & ~(1 << v) for v in range(n)]
+
+
+def _member_bipartite_rows(n: int, rows: Sequence[int]) -> bool:
+    return bipartition_rows(n, rows) is not None
 
 
 def _member_perfect_rows(n: int, rows: Sequence[int]) -> bool:
-    n, rows = _active_rows(n, rows)
+    n, rows = _drop_isolated(rows)
     if find_odd_hole(n, rows) is not None:
         return False
-    full = (1 << n) - 1
-    co = [~rows[v] & full & ~(1 << v) for v in range(n)]
-    return find_odd_hole(n, co) is None
+    return find_odd_hole(n, _complement_rows(n, rows)) is None
 
 
-def _member_co_unipolar_rows(n: int, rows: Sequence[int]) -> bool:
-    n, rows = _active_rows(n, rows)
-    full = (1 << n) - 1
-    co = [~rows[v] & full & ~(1 << v) for v in range(n)]
-    return unipolar_split_rows(n, co) is not None
-
-
-def _member_chi_eq_omega_rows(n: int, rows: Sequence[int]) -> bool:
-    if n == 0:
-        return True
-    w = omega_of_rows(n, rows)
-    return k_colorable_rows(n, rows, w) is not None
+def _member_unipolar_rows(n: int, rows: Sequence[int]) -> bool:
+    return unipolar_split_rows(n, rows) is not None
 
 
 def _member_chi_le_f_rows(n: int, rows: Sequence[int], f: FSpec) -> bool:
     if n == 0:
         return True
-    w = omega_of_rows(n, rows)
-    fw = f(w)
-    if fw >= n:
-        return True
-    return k_colorable_rows(n, rows, fw) is not None
+    fw = f(omega_of_rows(n, rows))
+    return fw >= n or k_colorable_rows(n, rows, fw) is not None
 
 
-def membership_fn(spec: ClassSpec) -> Callable[[int, Sequence[int]], bool]:
-    """Boolean membership over raw adjacency rows, for tight loops."""
-    if spec.kind == "bipartite":
-        return lambda n, rows: bipartition_rows(n, rows) is not None
-    if spec.kind == "chi-le":
-        k = spec.k
-        return lambda n, rows: n == 0 or k_colorable_rows(n, rows, k) is not None
-    if spec.kind == "chi-le-f":
-        f = spec.f
-        return lambda n, rows: _member_chi_le_f_rows(n, rows, f)
-    if spec.kind == "chi-eq-omega":
-        return _member_chi_eq_omega_rows
-    if spec.kind == "perfect":
-        return _member_perfect_rows
-    if spec.kind == "unipolar":
-        return lambda n, rows: unipolar_split_rows(n, rows) is not None
-    if spec.kind == "co-unipolar":
-        return _member_co_unipolar_rows
-    if spec.kind == "gsp":
-        return lambda n, rows: (
-            unipolar_split_rows(n, rows) is not None or _member_co_unipolar_rows(n, rows)
-        )
-    raise ValueError(f"unknown class kind {spec.kind!r}")
+# --- per-class witness bodies and their checkers ---
+
+def _bipartite_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
+    sides = is_bipartite(g)
+    if sides is None:
+        return None
+    return {"sides": [bits_of(sides[0]), bits_of(sides[1])]}
 
 
-@lru_cache(maxsize=None)
-def _membership_cached(spec: ClassSpec) -> Callable[[int, Sequence[int]], bool]:
-    return membership_fn(spec)
+def _check_bipartite(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
+    sides = witness.get("sides")
+    if sides is None or len(sides) != 2:
+        return False
+    if sorted(sides[0] + sides[1]) != list(range(g.n)):
+        return False
+    s0, s1 = set(sides[0]), set(sides[1])
+    return not any((u in s0 and v in s0) or (u in s1 and v in s1) for u, v in g.edges())
 
 
-def in_class(g: Graph, spec: ClassSpec) -> Optional[Dict]:
-    """Membership witness as a JSON-ready dict, or None if not a member."""
-    if spec.kind == "bipartite":
-        sides = is_bipartite(g)
-        if sides is None:
-            return None
-        return {"class": str(spec), "sides": [bits_of(sides[0]), bits_of(sides[1])]}
-    if spec.kind == "chi-le":
-        if g.n == 0:
-            return {"class": str(spec), "coloring": []}
-        sol = k_colorable_rows(g.n, g.rows, spec.k)
-        if sol is None:
-            return None
-        return {"class": str(spec), "coloring": sol}
-    if spec.kind == "chi-le-f":
-        res = is_chi_le_f(g, spec.f)
-        if res is None:
-            return None
-        coloring, clique, fw = res
-        return {
-            "class": str(spec),
-            "coloring": list(coloring.colors),
-            "clique": list(clique.vertices),
-            "f_omega": fw,
-        }
-    if spec.kind == "chi-eq-omega":
-        res = is_chi_eq_omega(g)
-        if res is None:
-            return None
-        coloring, clique = res
-        return {
-            "class": str(spec),
-            "coloring": list(coloring.colors),
-            "clique": list(clique.vertices),
-        }
-    if spec.kind == "perfect":
-        ok, _cert = is_perfect(g)
-        if not ok:
-            return None
-        return {"class": str(spec)}
-    if spec.kind == "unipolar":
-        res = is_unipolar(g)
-        if res is None:
-            return None
-        a, comps = res
-        return {
-            "class": str(spec),
-            "clique_side": bits_of(a),
-            "clusters": [bits_of(c) for c in comps],
-        }
-    if spec.kind == "co-unipolar":
-        res = is_co_unipolar(g)
-        if res is None:
-            return None
-        a, comps = res
-        return {
-            "class": str(spec),
-            "clique_side": bits_of(a),
-            "clusters": [bits_of(c) for c in comps],
-        }
-    if spec.kind == "gsp":
-        res = is_gsp(g)
-        if res is None:
-            return None
-        branch, (a, comps) = res
-        return {
-            "class": str(spec),
-            "branch": branch,
-            "clique_side": bits_of(a),
-            "clusters": [bits_of(c) for c in comps],
-        }
-    raise ValueError(f"unknown class kind {spec.kind!r}")
+def _chi_le_member(spec: ClassSpec) -> MemberFn:
+    k = spec.k
+    return lambda n, rows: k_colorable_rows(n, rows, k) is not None
 
 
-def _check_split_witness(g: Graph, witness: Dict) -> bool:
+def _chi_le_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
+    sol = k_colorable_rows(g.n, g.rows, spec.k)
+    return None if sol is None else {"coloring": sol}
+
+
+def _check_chi_le(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
+    colors = witness.get("coloring")
+    if colors is None or len(colors) != g.n:
+        return False
+    if g.n and (min(colors) < 0 or max(colors) >= spec.k):
+        return False
+    return not any(colors[u] == colors[v] for u, v in g.edges())
+
+
+def _split_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
+    res = is_unipolar(g)
+    if res is None:
+        return None
+    a, comps = res
+    return {"clique_side": bits_of(a), "clusters": [bits_of(c) for c in comps]}
+
+
+def _check_split_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
     a = witness.get("clique_side", [])
     clusters = witness.get("clusters", [])
     flat = list(a) + [v for c in clusters for v in c]
@@ -557,28 +481,48 @@ def _check_split_witness(g: Graph, witness: Dict) -> bool:
     return True
 
 
-def check_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
-    """Independent witness validation; everything but perfect is polynomial."""
-    if witness.get("class") != str(spec):
-        return False
-    if spec.kind == "bipartite":
-        sides = witness.get("sides")
-        if sides is None or len(sides) != 2:
-            return False
-        if sorted(sides[0] + sides[1]) != list(range(g.n)):
-            return False
-        s0, s1 = set(sides[0]), set(sides[1])
-        return not any(
-            (u in s0 and v in s0) or (u in s1 and v in s1) for u, v in g.edges()
-        )
-    if spec.kind == "chi-le":
-        colors = witness.get("coloring")
-        if colors is None or len(colors) != g.n:
-            return False
-        if g.n and (min(colors) < 0 or max(colors) >= spec.k):
-            return False
-        return not any(colors[u] == colors[v] for u, v in g.edges())
-    if spec.kind in ("chi-le-f", "chi-eq-omega"):
+# --- the class registry ---
+
+@dataclass(frozen=True)
+class ClassEntry:
+    """Everything the package needs to know about one class.
+
+    member(spec) is membership over raw adjacency rows (n, rows), for tight
+    loops; witness(g, spec) is a JSON-ready witness body or None;
+    check(g, spec, body) validates a witness body independently.  For the
+    colouring classes, color_bound(g, spec) caps the colours a maximal
+    member inside g can need, and partition_members says whether every
+    vertex partition into that many blocks yields a member (so the solver
+    need not test them).  param names the ClassSpec field the kind takes.
+    """
+
+    member: Callable[[ClassSpec], MemberFn]
+    witness: Callable[[Graph, ClassSpec], Optional[Dict]]
+    check: Callable[[Graph, ClassSpec, Dict], bool]
+    color_bound: Optional[Callable[[Graph, ClassSpec], int]] = None
+    partition_members: bool = False
+    param: Optional[str] = None
+
+
+def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) -> ClassEntry:
+    """The class {chi <= f(omega)}, f read off the spec.  The witness
+    reports f(omega) only when f is a parameter of the spec."""
+
+    def member(spec: ClassSpec) -> MemberFn:
+        f = f_of(spec)
+        return lambda n, rows: _member_chi_le_f_rows(n, rows, f)
+
+    def witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
+        res = is_chi_le_f(g, f_of(spec))
+        if res is None:
+            return None
+        coloring, clique, fw = res
+        body = {"coloring": list(coloring.colors), "clique": list(clique.vertices)}
+        if param is not None:
+            body["f_omega"] = fw
+        return body
+
+    def check(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
         colors = witness.get("coloring")
         clique = witness.get("clique")
         if colors is None or clique is None or len(colors) != g.n:
@@ -587,24 +531,104 @@ def check_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
             return clique == []
         if any(colors[u] == colors[v] for u, v in g.edges()):
             return False
-        if not check_clique(g, CliqueWitness(tuple(clique), len(clique))):
+        if not clique or not check_clique(g, CliqueWitness(tuple(clique), len(clique))):
             return False
-        used = len(set(colors))
-        if spec.kind == "chi-eq-omega":
-            return used == len(clique)
-        return used <= spec.f(len(clique)) if clique else False
-    if spec.kind == "perfect":
-        ok, _ = is_perfect(g)
-        return ok
-    if spec.kind == "unipolar":
-        return _check_split_witness(g, witness)
-    if spec.kind == "co-unipolar":
-        return _check_split_witness(complement(g), witness)
-    if spec.kind == "gsp":
-        branch = witness.get("branch")
-        if branch == "unipolar":
-            return _check_split_witness(g, witness)
-        if branch == "co-unipolar":
-            return _check_split_witness(complement(g), witness)
-        return False
-    raise ValueError(f"unknown class kind {spec.kind!r}")
+        # omega >= |clique| and f is non-decreasing, so chi <= used <= f(omega)
+        return len(set(colors)) <= f_of(spec)(len(clique))
+
+    def color_bound(g: Graph, spec: ClassSpec) -> int:
+        return f_of(spec)(max(omega_of_rows(g.n, g.rows), 1))
+
+    return ClassEntry(member, witness, check, color_bound, param=param)
+
+
+def _complement_entry(base: ClassEntry) -> ClassEntry:
+    """Graphs whose complement lies in base.  Membership drops isolated
+    vertices first, which must be sound for base: they turn into universal
+    vertices of the complement."""
+
+    def member(spec: ClassSpec) -> MemberFn:
+        inner = base.member(spec)
+
+        def co_member(n: int, rows: Sequence[int]) -> bool:
+            n, rows = _drop_isolated(rows)
+            return inner(n, _complement_rows(n, rows))
+
+        return co_member
+
+    return ClassEntry(
+        member,
+        lambda g, spec: base.witness(complement(g), spec),
+        lambda g, spec, witness: base.check(complement(g), spec, witness),
+    )
+
+
+def _union_entry(first: str, second: str) -> ClassEntry:
+    """Graphs in either registered class; the witness names the branch
+    that holds, trying first before second."""
+
+    def member(spec: ClassSpec) -> MemberFn:
+        a, b = CLASSES[first].member(spec), CLASSES[second].member(spec)
+        return lambda n, rows: a(n, rows) or b(n, rows)
+
+    def witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
+        for kind in (first, second):
+            body = CLASSES[kind].witness(g, spec)
+            if body is not None:
+                return {"branch": kind, **body}
+        return None
+
+    def check(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
+        kind = witness.get("branch")
+        return kind in (first, second) and CLASSES[kind].check(g, spec, witness)
+
+    return ClassEntry(member, witness, check)
+
+
+_UNIPOLAR = ClassEntry(lambda spec: _member_unipolar_rows, _split_witness, _check_split_witness)
+
+CLASSES: Dict[str, ClassEntry] = {
+    "bipartite": ClassEntry(
+        lambda spec: _member_bipartite_rows, _bipartite_witness, _check_bipartite,
+        color_bound=lambda g, spec: 2, partition_members=True,
+    ),
+    "chi-le": ClassEntry(
+        _chi_le_member, _chi_le_witness, _check_chi_le,
+        color_bound=lambda g, spec: spec.k, partition_members=True, param="k",
+    ),
+    "chi-le-f": _chibound_entry(lambda spec: spec.f, param="f"),
+    "chi-eq-omega": _chibound_entry(lambda spec: IDENTITY, param=None),
+    "perfect": ClassEntry(
+        lambda spec: _member_perfect_rows,
+        lambda g, spec: {} if is_perfect(g)[0] else None,
+        lambda g, spec, witness: is_perfect(g)[0],
+    ),
+    "unipolar": _UNIPOLAR,
+    "co-unipolar": _complement_entry(_UNIPOLAR),
+    "gsp": _union_entry("unipolar", "co-unipolar"),
+}
+
+CLASS_KINDS = tuple(CLASSES)
+
+
+def membership_fn(spec: ClassSpec) -> MemberFn:
+    """Boolean membership over raw adjacency rows, for tight loops."""
+    return CLASSES[spec.kind].member(spec)
+
+
+def in_class(g: Graph, spec: ClassSpec) -> Optional[Dict]:
+    """Membership witness as a JSON-ready dict, or None if not a member."""
+    body = CLASSES[spec.kind].witness(g, spec)
+    return None if body is None else {"class": str(spec), **body}
+
+
+def check_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
+    """Independent witness validation; everything but perfect is polynomial."""
+    return witness.get("class") == str(spec) and CLASSES[spec.kind].check(g, spec, witness)
+
+
+def color_bound(g: Graph, spec: ClassSpec, n_active: int) -> Optional[int]:
+    """Most colours a maximal member of a colouring class inside g can
+    need, given g's count of non-isolated vertices; None for the others."""
+    bound = CLASSES[spec.kind].color_bound
+    return None if bound is None else min(bound(g, spec), max(n_active, 1))

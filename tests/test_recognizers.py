@@ -78,6 +78,11 @@ def test_class_spec_parsing():
         parse_class_spec("split")
     with pytest.raises(ValueError):
         parse_class_spec("chi-le-f")
+    with pytest.raises(ValueError):
+        parse_class_spec("chi-le-f:const:1")
+    for text in ("identity", "plus:1", "pow:2", "const:3", "table:1,3,3,5"):
+        spec = parse_class_spec("chi-le-f:" + text)
+        assert parse_class_spec(str(spec)) == spec
 
 
 def test_bipartite_cycles():

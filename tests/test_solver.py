@@ -199,13 +199,14 @@ def test_max_subgraph_size_within_budget():
 
 def test_partition_and_subset_routes_agree():
     # the two family generators must produce the same maximal members
-    from covernum.solver import _color_bound, _partition_family, _subset_family
+    from covernum.recognizers import color_bound
+    from covernum.solver import _partition_family, _subset_family
 
     for g in random_graphs(6, 10, 53) + random_graphs(5, 10, 59):
         active = [v for v in range(g.n) if g.rows[v]]
         for text in ("bipartite", "chi-le:2", "chi-le-f:identity", "chi-eq-omega"):
             spec = parse_class_spec(text)
-            bound = _color_bound(g, spec, len(active))
+            bound = color_bound(g, spec, len(active))
             assert bound is not None
             via_partitions = sorted(_partition_family(g, spec, bound, active))
             via_subsets = sorted(_subset_family(g, spec))
