@@ -15,26 +15,14 @@ import sys
 import time
 from typing import Optional
 
-from .covers import (
-    bipartite_cover,
-    certificate_to_json,
-    chi_le_k_cover,
-    chibound_cover,
-)
+from .covers import certificate_to_json, formula_cover
 from .formats import ParseError, emit_graph6, parse_graph
 from .generators import parse_family_spec
 from .graphs import CapacityError, Graph
 from .invariants import chromatic_number, clique_number
-from .recognizers import in_class, is_perfect, parse_class_spec
+from .recognizers import class_f, in_class, is_perfect, parse_class_spec
 from .solver import BudgetError, SolveBudget, decide_cover, exact_cover_number
 from .verify import run_suite
-
-# class kind -> formula-sized construction
-CONSTRUCTIONS = {
-    "bipartite": lambda g, spec: bipartite_cover(g),
-    "chi-le": lambda g, spec: chi_le_k_cover(g, spec.k),
-    "chi-le-f": lambda g, spec: chibound_cover(g, spec.f),
-}
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
@@ -75,27 +63,27 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
 def _cmd_recognize(args: argparse.Namespace) -> int:
     spec = parse_class_spec(args.cls)
     g = _read_graph(args)
-    witness = in_class(g, spec)
-    out = {"class": str(spec), "member": witness is not None, "witness": witness}
-    if witness is None and spec.kind == "perfect":
-        ok, bad = is_perfect(g)
-        assert not ok and bad is not None
-        out["witness"] = {"kind": bad[0], "vertices": list(bad[1])}
-    _emit(out)
+    if spec.kind == "perfect":
+        # one perfection test gives both the verdict and the failure witness
+        member, bad = is_perfect(g)
+        witness = {"class": str(spec)} if member else {"kind": bad[0], "vertices": list(bad[1])}
+    else:
+        witness = in_class(g, spec)
+        member = witness is not None
+    _emit({"class": str(spec), "member": member, "witness": witness})
     return 0
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
     spec = parse_class_spec(args.cls)
-    construct = CONSTRUCTIONS.get(spec.kind)
-    if construct is None:
+    if class_f(spec) is None:
         print(
             f"no constructive cover for class {spec}; "
             f"use `covernum solve --class {spec}` for the exact oracle",
             file=sys.stderr,
         )
         return 4
-    _emit(certificate_to_json(construct(_read_graph(args), spec)))
+    _emit(certificate_to_json(formula_cover(_read_graph(args), spec)))
     return 0
 
 
@@ -177,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="formula-sized cover by construction")
     _add_input_args(p)
     p.add_argument("--class", dest="cls", required=True,
-                   help="constructive classes: bipartite, chi-le:<k>, chi-le-f:<f>")
+                   help="constructive classes: bipartite, chi-le:<k>, chi-le-f:<f>, "
+                        "chi-eq-omega")
     p.set_defaults(fn=_cmd_cover)
 
     p = sub.add_parser("solve", help="exact minimum cover by enumeration")

@@ -1,22 +1,23 @@
 """Cover formulas, constructive covers and certificate checking.
 
 A cover of G is a list of spanning subgraphs (as edge sets) whose union
-is E(G) and each of which lies in a fixed class.  Constructions here are
-exact realizations of the ceil-log formulas: write each color id of an
-optimal coloring in base b and split edges by the digit where their
-endpoint colors differ.
+is E(G) and each of which lies in a fixed class.  For every class
+{chi <= f(omega)} the cover is an exact realization of the ceil-log
+formula: write each color of an optimal coloring as a base-f(omega)
+digit string and split edges by the digits where their endpoint strings
+differ.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .generators import hypercube
 from .graphs import EdgeSet, Graph, edge_index, full_edge_set, spanning_subgraph
 from .invariants import Coloring, ceil_log, chromatic_number, clique_number
-from .recognizers import ClassSpec, FSpec, check_witness, in_class
+from .recognizers import ClassSpec, FSpec, check_witness, class_f, flat_upto, in_class
 
 
 def formula_biparticity(chi: int) -> int:
@@ -28,8 +29,9 @@ def formula_biparticity(chi: int) -> int:
     return ceil_log(2, chi)
 
 
-def formula_chibound(chi: int, omega: int, f: FSpec) -> int:
-    """Parts needed for the class of graphs with chi(H) <= f(omega(H))."""
+def formula_chibound(chi: int, omega: int, f: Callable[[int], int]) -> int:
+    """Parts needed for the class of graphs with chi(H) <= f(omega(H)),
+    for any non-decreasing f."""
     if chi < 0 or omega < 0 or omega > chi:
         raise ValueError(f"inconsistent invariant pair chi={chi}, omega={omega}")
     if chi <= 1:
@@ -59,19 +61,6 @@ def certificate_to_json(cert: CoverCertificate) -> Dict:
     }
 
 
-def _digit_parts(g: Graph, colors: Sequence[int], base: int, t: int) -> List[EdgeSet]:
-    idx = edge_index(g)
-    masks = [0] * t
-    for i, (u, v) in enumerate(idx):
-        cu, cv = colors[u], colors[v]
-        for d in range(t):
-            if cu % base != cv % base:
-                masks[d] |= 1 << i
-            cu //= base
-            cv //= base
-    return [EdgeSet(g, m) for m in masks]
-
-
 def _finish(g: Graph, spec: ClassSpec, parts: List[EdgeSet]) -> CoverCertificate:
     wits = []
     for p in parts:
@@ -81,69 +70,63 @@ def _finish(g: Graph, spec: ClassSpec, parts: List[EdgeSet]) -> CoverCertificate
     return CoverCertificate(g, spec, tuple(parts), tuple(wits), len(parts))
 
 
-def _digit_cover(g: Graph, spec: ClassSpec, base: int) -> CoverCertificate:
-    """Cover by ceil(log_base chi) parts with at most base colors each.
+def formula_cover(g: Graph, spec: ClassSpec) -> CoverCertificate:
+    """Cover by formula_chibound(chi, omega, f) parts from the class
+    {chi <= f(omega)} of spec.
 
-    Part i keeps the edges whose endpoint colors differ in the i-th
-    base-`base` digit of an optimal coloring; coloring a part by that
-    digit shows chi <= base.
+    Each color of an optimal coloring becomes a string of t base-f(omega)
+    digits, and part d keeps the edges whose endpoint strings differ in
+    digit d, so digit d colors part d with at most f(omega) colors.  When
+    f(1) >= f(omega) that makes every part a member, and the strings are
+    the colors' plain digits.  Otherwise the colors on one maximum clique
+    get distinct constant strings, which keeps the clique inside every
+    part, so each part has the same clique number as g.
     """
+    f = class_f(spec)
+    if f is None:
+        raise ValueError(f"class {spec} is not of the form chi <= f(omega)")
     chi, coloring = chromatic_number(g)
     if chi <= 1:
         return CoverCertificate(g, spec, (), (), 0)
+    low = f(1)
+    base, clique = low, ()
+    if not flat_upto(f, chi):  # else f is flat up to omega <= chi
+        omega, witness = clique_number(g)
+        base = f(omega)
+        if base > low:
+            clique = sorted(witness.vertices)
     t = ceil_log(base, chi)
-    return _finish(g, spec, _digit_parts(g, coloring.colors, base, t))
+    if clique:
+        const = {coloring.colors[v]: (i,) * t for i, v in enumerate(clique)}
+        taken = set(const.values())
+        fresh = (s for s in itertools.product(range(base), repeat=t) if s not in taken)
+        strings = [const[c] if c in const else next(fresh) for c in range(chi)]
+    else:
+        strings = [tuple(c // base ** d % base for d in range(t)) for c in range(chi)]
+    masks = [0] * t
+    for i, (u, v) in enumerate(edge_index(g)):
+        su, sv = strings[coloring.colors[u]], strings[coloring.colors[v]]
+        for d in range(t):
+            if su[d] != sv[d]:
+                masks[d] |= 1 << i
+    return _finish(g, spec, [EdgeSet(g, m) for m in masks])
 
 
 def chi_le_k_cover(g: Graph, k: int) -> CoverCertificate:
     """Cover by ceil(log_k chi) many k-colorable spanning subgraphs."""
     if k < 2:
         raise ValueError(f"digit base k must be >= 2, got {k}")
-    return _digit_cover(g, ClassSpec("chi-le", k=k), k)
+    return formula_cover(g, ClassSpec("chi-le", k=k))
 
 
 def bipartite_cover(g: Graph) -> CoverCertificate:
     """Cover by ceil(log2 chi) bipartite spanning subgraphs."""
-    return _digit_cover(g, ClassSpec("bipartite"), 2)
+    return formula_cover(g, ClassSpec("bipartite"))
 
 
 def chibound_cover(g: Graph, f: FSpec) -> CoverCertificate:
-    """Cover by parts from the class {H : chi(H) <= f(omega(H))}.
-
-    Color ids are relabelled as digit strings over base f(omega).  The
-    colors on one maximum clique become distinct constant strings, which
-    keeps the full clique inside every part, so each part has the same
-    clique number as g and its digit coloring stays below f(omega).
-    """
-    spec = ClassSpec("chi-le-f", f=f)
-    if not f.majorizes_identity:
-        # constant bound: plain base-k digit cover, same as chi_le_k_cover
-        return _digit_cover(g, spec, f.value)
-    chi, coloring = chromatic_number(g)
-    if chi <= 1:
-        return CoverCertificate(g, spec, (), (), 0)
-    omega, clique = clique_number(g)
-    base = f(omega)
-    t = ceil_log(base, chi)
-    # constant strings for the clique colors, in increasing clique-vertex order
-    strings: Dict[int, Tuple[int, ...]] = {}
-    taken = set()
-    for i, v in enumerate(sorted(clique.vertices)):
-        s = (i,) * t
-        strings[coloring.colors[v]] = s
-        taken.add(s)
-    fresh = (s for s in itertools.product(range(base), repeat=t) if s not in taken)
-    for c in range(chi):
-        if c not in strings:
-            strings[c] = next(fresh)
-    idx = edge_index(g)
-    masks = [0] * t
-    for i, (u, v) in enumerate(idx):
-        su, sv = strings[coloring.colors[u]], strings[coloring.colors[v]]
-        for d in range(t):
-            if su[d] != sv[d]:
-                masks[d] |= 1 << i
-    return _finish(g, spec, [EdgeSet(g, m) for m in masks])
+    """Cover by parts from the class {H : chi(H) <= f(omega(H))}."""
+    return formula_cover(g, ClassSpec("chi-le-f", f=f))
 
 
 def product_coloring(g: Graph, parts: Sequence[Tuple[EdgeSet, Coloring]]) -> Coloring:

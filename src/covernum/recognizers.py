@@ -6,8 +6,8 @@ exact; perfection goes through the absence of odd holes in the graph and
 its complement, everything else through explicit search.
 
 Each class is declared once, as an entry of the CLASSES registry; spec
-parsing, membership, witnesses, witness checks and the solver's colour
-bounds are all lookups into it.
+parsing, membership, witnesses, witness checks and, for the colouring
+classes {chi <= f(omega)}, the function f are all lookups into it.
 """
 
 from __future__ import annotations
@@ -72,10 +72,6 @@ class FSpec:
     @property
     def majorizes_identity(self) -> bool:
         return self.form != "const"
-
-    @property
-    def domain_max(self) -> int:
-        return len(self.table) if self.form == "table" else F_DOMAIN_MAX
 
     def __call__(self, x: int) -> int:
         if not 1 <= x <= F_DOMAIN_MAX:
@@ -418,6 +414,11 @@ def _member_chi_le_f_rows(n: int, rows: Sequence[int], f: FSpec) -> bool:
 
 # --- per-class witness bodies and their checkers ---
 
+def _ints(x: object) -> bool:
+    """x is a list of ints, as a witness field read from JSON must be."""
+    return isinstance(x, (list, tuple)) and all(isinstance(v, int) for v in x)
+
+
 def _bipartite_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
     sides = is_bipartite(g)
     if sides is None:
@@ -427,7 +428,7 @@ def _bipartite_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
 
 def _check_bipartite(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
     sides = witness.get("sides")
-    if sides is None or len(sides) != 2:
+    if not isinstance(sides, (list, tuple)) or len(sides) != 2 or not all(map(_ints, sides)):
         return False
     if sorted(sides[0] + sides[1]) != list(range(g.n)):
         return False
@@ -447,7 +448,7 @@ def _chi_le_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
 
 def _check_chi_le(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
     colors = witness.get("coloring")
-    if colors is None or len(colors) != g.n:
+    if not _ints(colors) or len(colors) != g.n:
         return False
     if g.n and (min(colors) < 0 or max(colors) >= spec.k):
         return False
@@ -465,6 +466,8 @@ def _split_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
 def _check_split_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
     a = witness.get("clique_side", [])
     clusters = witness.get("clusters", [])
+    if not _ints(a) or not isinstance(clusters, (list, tuple)) or not all(map(_ints, clusters)):
+        return False
     flat = list(a) + [v for c in clusters for v in c]
     if len(set(flat)) != len(flat) or set(flat) != set(range(g.n)):
         return False
@@ -489,18 +492,17 @@ class ClassEntry:
 
     member(spec) is membership over raw adjacency rows (n, rows), for tight
     loops; witness(g, spec) is a JSON-ready witness body or None;
-    check(g, spec, body) validates a witness body independently.  For the
-    colouring classes, color_bound(g, spec) caps the colours a maximal
-    member inside g can need, and partition_members says whether every
-    vertex partition into that many blocks yields a member (so the solver
-    need not test them).  param names the ClassSpec field the kind takes.
+    check(g, spec, body) validates a witness body independently.  A
+    colouring class declares f(spec), the non-decreasing function that
+    defines it as {chi <= f(omega)}; its colour bound, partition route,
+    cover formula and construction all follow from f.  param names the
+    ClassSpec field the kind takes.
     """
 
     member: Callable[[ClassSpec], MemberFn]
     witness: Callable[[Graph, ClassSpec], Optional[Dict]]
     check: Callable[[Graph, ClassSpec, Dict], bool]
-    color_bound: Optional[Callable[[Graph, ClassSpec], int]] = None
-    partition_members: bool = False
+    f: Optional[Callable[[ClassSpec], Callable[[int], int]]] = None
     param: Optional[str] = None
 
 
@@ -525,7 +527,7 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
     def check(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
         colors = witness.get("coloring")
         clique = witness.get("clique")
-        if colors is None or clique is None or len(colors) != g.n:
+        if not _ints(colors) or not _ints(clique) or len(colors) != g.n:
             return False
         if g.n == 0:
             return clique == []
@@ -536,10 +538,7 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
         # omega >= |clique| and f is non-decreasing, so chi <= used <= f(omega)
         return len(set(colors)) <= f_of(spec)(len(clique))
 
-    def color_bound(g: Graph, spec: ClassSpec) -> int:
-        return f_of(spec)(max(omega_of_rows(g.n, g.rows), 1))
-
-    return ClassEntry(member, witness, check, color_bound, param=param)
+    return ClassEntry(member, witness, check, f_of, param)
 
 
 def _complement_entry(base: ClassEntry) -> ClassEntry:
@@ -585,16 +584,19 @@ def _union_entry(first: str, second: str) -> ClassEntry:
     return ClassEntry(member, witness, check)
 
 
+def _flat(k: int) -> Callable[[int], int]:
+    return lambda omega: k
+
+
 _UNIPOLAR = ClassEntry(lambda spec: _member_unipolar_rows, _split_witness, _check_split_witness)
 
 CLASSES: Dict[str, ClassEntry] = {
     "bipartite": ClassEntry(
         lambda spec: _member_bipartite_rows, _bipartite_witness, _check_bipartite,
-        color_bound=lambda g, spec: 2, partition_members=True,
+        f=lambda spec: _flat(2),
     ),
     "chi-le": ClassEntry(
-        _chi_le_member, _chi_le_witness, _check_chi_le,
-        color_bound=lambda g, spec: spec.k, partition_members=True, param="k",
+        _chi_le_member, _chi_le_witness, _check_chi_le, f=lambda spec: _flat(spec.k), param="k",
     ),
     "chi-le-f": _chibound_entry(lambda spec: spec.f, param="f"),
     "chi-eq-omega": _chibound_entry(lambda spec: IDENTITY, param=None),
@@ -623,12 +625,37 @@ def in_class(g: Graph, spec: ClassSpec) -> Optional[Dict]:
 
 
 def check_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
-    """Independent witness validation; everything but perfect is polynomial."""
-    return witness.get("class") == str(spec) and CLASSES[spec.kind].check(g, spec, witness)
+    """Independent witness validation; everything but perfect is polynomial.
+    A malformed witness is rejected, not raised on."""
+    return (
+        isinstance(witness, dict)
+        and witness.get("class") == str(spec)
+        and CLASSES[spec.kind].check(g, spec, witness)
+    )
+
+
+def class_f(spec: ClassSpec) -> Optional[Callable[[int], int]]:
+    """The f of a colouring class {chi <= f(omega)}; None for the others."""
+    f_of = CLASSES[spec.kind].f
+    return None if f_of is None else f_of(spec)
+
+
+def flat_upto(f: Callable[[int], int], x: int) -> bool:
+    """f(1) >= f(x), so a non-decreasing f is constant on 1..x; False
+    where f(x) is undefined, past the end of a lookup table."""
+    try:
+        return f(1) >= f(x)
+    except ValueError:
+        return False
 
 
 def color_bound(g: Graph, spec: ClassSpec, n_active: int) -> Optional[int]:
     """Most colours a maximal member of a colouring class inside g can
     need, given g's count of non-isolated vertices; None for the others."""
-    bound = CLASSES[spec.kind].color_bound
-    return None if bound is None else min(bound(g, spec), max(n_active, 1))
+    f = class_f(spec)
+    if f is None:
+        return None
+    cap = max(n_active, 1)
+    # omega <= cap, so an f flat up to cap needs no clique search
+    omega = 1 if flat_upto(f, cap) else max(omega_of_rows(g.n, g.rows), 1)
+    return min(f(omega), cap)

@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .covers import CoverCertificate
 from .graphs import EdgeSet, Graph, bits_of, edge_index, spanning_subgraph
-from .recognizers import CLASSES, ClassSpec, color_bound, in_class, membership_fn
+from .recognizers import ClassSpec, class_f, color_bound, in_class, membership_fn
 
 
 class BudgetError(RuntimeError):
@@ -38,8 +38,7 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveBudget:
-    max_edges: int = 22          # subset sweep cap: 2^22 membership tests worst case
-    max_k: Optional[int] = None  # optional cap on accepted cover sizes
+    max_edges: int = 22  # subset sweep cap: 2^22 membership tests worst case
 
 
 @dataclass
@@ -92,7 +91,8 @@ def _rgs(n: int, k: int) -> Iterator[List[int]]:
 def _partition_family(
     g: Graph, spec: ClassSpec, bound: int, active: List[int]
 ) -> List[int]:
-    """Candidate masks from vertex partitions, membership-filtered."""
+    """Candidate masks from vertex partitions, membership-filtered unless
+    every candidate is a member by construction."""
     idx = edge_index(g)
     pos = {v: i for i, v in enumerate(active)}
     pairs = [(pos[u], pos[v]) for u, v in idx]
@@ -103,17 +103,12 @@ def _partition_family(
             if a[iu] != a[iv]:
                 mask |= 1 << j
         masks.add(mask)
-    if CLASSES[spec.kind].partition_members:
-        # every candidate is a member: its partition colors it
-        members = list(masks)
-    else:
+    # A candidate's partition colours it with at most bound colours, and
+    # bound <= f(1) <= f(omega(candidate)) makes it a member.
+    if class_f(spec)(1) < bound:
         member = membership_fn(spec)
-        members = []
-        for mask in masks:
-            rows = _mask_rows(g, mask)
-            if member(g.n, rows):
-                members.append(mask)
-    return _inclusion_maximal(members)
+        masks = {mask for mask in masks if member(g.n, _mask_rows(g, mask))}
+    return _inclusion_maximal(list(masks))
 
 
 def _mask_rows(g: Graph, mask: int) -> List[int]:
@@ -333,9 +328,7 @@ def exact_cover_number(
 ) -> SolveResult:
     """Minimum number of class members whose union is E(g), certified."""
     stats = SolveStats()
-    cert = _solve(g, spec, budget.max_k, budget, stats)
-    if cert is None:
-        raise BudgetError(f"no cover within the size cap of {budget.max_k}")
+    cert = _solve(g, spec, None, budget, stats)
     return SolveResult(len(cert.parts), cert, stats)
 
 

@@ -24,7 +24,7 @@ from .formats import emit_graph6, parse_graph6
 from .generators import all_graphs, hypercube, kKl, random_graphs
 from .graphs import Graph
 from .invariants import ceil_log, chromatic_number, clique_number
-from .recognizers import ClassSpec, identity_f, parse_class_spec
+from .recognizers import ClassSpec, class_f, identity_f, parse_class_spec
 from .solver import exact_cover_number, max_class_subgraph_size
 
 DEFAULT_SEED = 20260816
@@ -95,10 +95,7 @@ def _chibound_failures(g6: str, class_texts: Sequence[str]) -> List[Dict]:
     out = []
     for text in class_texts:
         spec = parse_class_spec(text)
-        if spec.kind == "chi-le":
-            expected = 0 if chi <= 1 else ceil_log(spec.k, chi)
-        else:
-            expected = formula_chibound(chi, omega, spec.f)
+        expected = formula_chibound(chi, omega, class_f(spec))
         got = exact_cover_number(g, spec).value
         if got != expected:
             out.append({"graph": g6, "class": text, "chi": chi, "omega": omega,

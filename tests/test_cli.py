@@ -97,6 +97,25 @@ def test_recognize_c5_perfect(capsys, tmp_path):
     assert data["witness"]["vertices"] == [0, 1, 2, 3, 4]
 
 
+def test_recognize_perfect_tests_perfection_once(capsys, tmp_path, monkeypatch):
+    import covernum.cli
+    import covernum.recognizers
+
+    calls = []
+    original = covernum.recognizers.is_perfect
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(covernum.recognizers, "is_perfect", counted)
+    monkeypatch.setattr(covernum.cli, "is_perfect", counted)
+    path = write_graph(tmp_path, "Dhc")  # C5
+    code, data, _ = run_json(capsys, "recognize", "--class", "perfect", path)
+    assert code == 0 and data["member"] is False
+    assert len(calls) == 1
+
+
 def test_recognize_2k4_unipolar(capsys, tmp_path):
     from covernum import emit_graph6, kKl
 
@@ -144,11 +163,13 @@ def test_cover_non_constructive_class(capsys, tmp_path):
     assert "solve" in err
 
 
-def test_cover_construct_flag_is_accepted(capsys, tmp_path):
-    path = write_graph(tmp_path, "C~")
-    code, data, _ = run_json(capsys, "cover", "--class", "bipartite", path)
+def test_cover_chi_eq_omega(capsys, tmp_path):
+    path = write_graph(tmp_path, "Dhc")  # C5: chi 3, omega 2
+    code, data, _ = run_json(capsys, "cover", "--class", "chi-eq-omega", path)
     assert code == 0
+    assert data["class"] == "chi-eq-omega"
     assert data["formula"] == 2
+    assert len(data["parts"]) == 2
 
 
 def test_solve_c5_bipartite(capsys, tmp_path):

@@ -24,11 +24,11 @@ from covernum import (
     spanning_subgraph,
     unipolar_subgraph_bound,
 )
-from covernum.covers import CoverCertificate
+from covernum.covers import CoverCertificate, formula_cover
 from covernum.generators import random_graphs, triangle_free_chromatic
 from covernum.graphs import full_edge_set
 from covernum.invariants import Coloring, check_coloring
-from covernum.recognizers import identity_f
+from covernum.recognizers import class_f, identity_f
 
 
 def test_formula_biparticity():
@@ -122,11 +122,18 @@ def test_chibound_cover_rejects_shrinking_f():
 
 def test_part_counts_match_formula():
     ident = identity_f()
+    specs = [parse_class_spec(t) for t in (
+        "bipartite", "chi-le:3", "chi-le-f:identity", "chi-le-f:plus:1",
+        "chi-le-f:const:3", "chi-eq-omega")]
     for g in random_graphs(7, 60, 29):
         chi, _ = chromatic_number(g)
         omega, _ = clique_number(g)
         assert len(bipartite_cover(g).parts) == formula_biparticity(chi)
         assert len(chibound_cover(g, ident).parts) == formula_chibound(chi, omega, ident)
+        for spec in specs:
+            cert = formula_cover(g, spec)
+            assert len(cert.parts) == formula_chibound(chi, omega, class_f(spec)), str(spec)
+            assert check_certificate(g, cert), str(spec)
 
 
 def test_product_coloring_bipartite_parts():

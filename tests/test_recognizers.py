@@ -208,6 +208,18 @@ def test_check_witness_rejects_tampering():
     bad["clusters"] = w["clusters"][:-1] if w["clusters"] else [[0]]
     assert not check_witness(g, spec, bad)
 
+    # malformed witnesses, as a certificate read from JSON may hold
+    c5 = cycle(5)
+    assert not check_witness(c5, parse_class_spec("chi-le:3"), None)
+    w = in_class(c5, parse_class_spec("chi-le:3"))
+    bad = dict(w, coloring=[str(c) for c in w["coloring"]])
+    assert not check_witness(c5, parse_class_spec("chi-le:3"), bad)
+    bad = {"class": "unipolar", "clique_side": 0, "clusters": [[0, 1], [2, 3], [4]]}
+    assert not check_witness(c5, parse_class_spec("unipolar"), bad)
+    bad = {"class": "chi-le-f:identity", "coloring": [0, 1, 0, 1, 2], "clique": ["0", "1"],
+           "f_omega": 2}
+    assert not check_witness(c5, parse_class_spec("chi-le-f:identity"), bad)
+
 
 def test_membership_fn_matches_in_class():
     for g in random_graphs(5, 40, 19):

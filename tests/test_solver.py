@@ -154,10 +154,9 @@ def test_edge_budget_enforced():
 
 def test_max_k_cap():
     g = complete(5)  # bipartite cover number is 3
-    with pytest.raises(BudgetError):
-        exact_cover_number(g, parse_class_spec("bipartite"), SolveBudget(max_k=2))
-    res = exact_cover_number(g, parse_class_spec("bipartite"), SolveBudget(max_k=3))
-    assert res.value == 3
+    assert decide_cover(g, parse_class_spec("bipartite"), 2) is None
+    cert = decide_cover(g, parse_class_spec("bipartite"), 3)
+    assert cert is not None and len(cert.parts) == 3
 
 
 def test_chi_le_1_has_no_usable_parts():
