@@ -50,10 +50,6 @@ class Graph:
                 if not self.rows[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
-    @property
-    def full_vertex_mask(self) -> int:
-        return (1 << self.n) - 1
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
@@ -95,9 +91,14 @@ def make_graph(n: int, edges: Iterable[Edge]) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def complement_rows(n: int, rows: Sequence[int]) -> List[int]:
+    """Adjacency rows of the complement: every non-edge becomes an edge."""
+    full = (1 << n) - 1
+    return [~rows[v] & full & ~(1 << v) for v in range(n)]
+
+
 def complement(g: Graph) -> Graph:
-    full = g.full_vertex_mask
-    return Graph(g.n, tuple(~r & full & ~(1 << v) for v, r in enumerate(g.rows)))
+    return Graph(g.n, tuple(complement_rows(g.n, g.rows)))
 
 
 def disjoint_union(gs: Sequence[Graph]) -> Graph:

@@ -49,9 +49,9 @@ class CliqueWitness:
         return m
 
 
-def _max_clique_size(rows: Sequence[int], cand: int, floor: int = 0) -> int:
+def _max_clique_size(rows: Sequence[int], cand: int) -> int:
     """Largest clique inside the candidate mask, classic bitset expansion."""
-    best = floor
+    best = 0
 
     def expand(cand: int, size: int) -> None:
         nonlocal best
@@ -91,8 +91,6 @@ def _has_clique(rows: Sequence[int], cand: int, target: int) -> bool:
 
 
 def omega_of_rows(n: int, rows: Sequence[int]) -> int:
-    if n == 0:
-        return 0
     return _max_clique_size(rows, (1 << n) - 1)
 
 
@@ -200,39 +198,36 @@ def _components(n: int, rows: Sequence[int]) -> List[int]:
     return comps
 
 
-def chi_of_rows(n: int, rows: Sequence[int]) -> int:
-    """Exact chromatic number by deepening k-colorability per component."""
-    if n == 0:
-        return 0
-    best = 1
+def _color_components(n: int, rows: Sequence[int], k: Optional[int] = None) -> Optional[Coloring]:
+    """Proper coloring built one connected component at a time, or None.
+
+    With k given, every component gets at most k colors (None if one needs
+    more); without, each gets its fewest, deepening from its clique number.
+    """
+    colors = [0] * n
     for comp in _components(n, rows):
         cn, crows = induced_rows(rows, comp)
-        k = max(_max_clique_size(crows, (1 << cn) - 1), 1)
-        while k < cn and k_colorable_rows(cn, crows, k) is None:
-            k += 1
-        best = max(best, k)
-    return best
+        c = omega_of_rows(cn, crows) if k is None else k
+        sol = k_colorable_rows(cn, crows, c)
+        while sol is None:
+            if k is not None:
+                return None
+            c += 1
+            sol = k_colorable_rows(cn, crows, c)
+        for v, color in zip(bits_of(comp), sol):
+            colors[v] = color
+    return Coloring(tuple(colors), max(colors, default=-1) + 1)
+
+
+def chi_of_rows(n: int, rows: Sequence[int]) -> int:
+    """Exact chromatic number by deepening k-colorability per component."""
+    return _color_components(n, rows).count
 
 
 @lru_cache(maxsize=65536)
 def _chromatic_cached(g: Graph) -> Tuple[int, Coloring]:
-    n, rows = g.n, g.rows
-    if n == 0:
-        return 0, Coloring((), 0)
-    colors = [0] * n
-    chi = 1
-    for comp in _components(n, rows):
-        verts = bits_of(comp)
-        cn, crows = induced_rows(rows, comp)
-        k = max(_max_clique_size(crows, (1 << cn) - 1), 1)
-        sol = k_colorable_rows(cn, crows, k)
-        while sol is None:
-            k += 1
-            sol = k_colorable_rows(cn, crows, k)
-        for i, v in enumerate(verts):
-            colors[v] = sol[i]
-        chi = max(chi, max(sol) + 1)
-    return chi, Coloring(tuple(colors), chi)
+    coloring = _color_components(g.n, g.rows)
+    return coloring.count, coloring
 
 
 def chromatic_number(g: Graph) -> Tuple[int, Coloring]:
@@ -242,22 +237,7 @@ def chromatic_number(g: Graph) -> Tuple[int, Coloring]:
 
 def is_k_colorable(g: Graph, k: int) -> Optional[Coloring]:
     """A proper coloring of g with at most k colors, or None."""
-    if g.n == 0:
-        return Coloring((), 0)
-    if k <= 0:
-        return None
-    colors = [0] * g.n
-    used = 1
-    for comp in _components(g.n, g.rows):
-        verts = bits_of(comp)
-        cn, crows = induced_rows(g.rows, comp)
-        sol = k_colorable_rows(cn, crows, k)
-        if sol is None:
-            return None
-        for i, v in enumerate(verts):
-            colors[v] = sol[i]
-        used = max(used, max(sol) + 1)
-    return Coloring(tuple(colors), used)
+    return _color_components(g.n, g.rows, k)
 
 
 def check_coloring(g: Graph, coloring: Coloring) -> bool:

@@ -16,7 +16,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .graphs import CapacityError, Graph, bits_of, complement, induced_rows
+from .graphs import (
+    MAX_VERTICES,
+    CapacityError,
+    Graph,
+    bits_of,
+    complement,
+    complement_rows,
+    induced_rows,
+)
 from .invariants import (
     CliqueWitness,
     Coloring,
@@ -28,17 +36,27 @@ from .invariants import (
 
 PERFECT_MAX_VERTICES = 26
 
-F_DOMAIN_MAX = 64
+# Each form of f: (f(spec, x), least c), where c is the spec's value, or
+# for a table its count of values.  Only a table can break monotonicity or
+# fall below the identity, so only its values need checking.
+_F_FORMS: Dict[str, Tuple[Callable[["FSpec", int], int], int]] = {
+    "identity": (lambda f, x: x, 0),
+    "plus": (lambda f, x: x + f.value, 0),
+    "pow": (lambda f, x: x ** f.value, 1),
+    "const": (lambda f, x: f.value, 2),
+    "table": (lambda f, x: f.table[x - 1], 1),
+}
 
 
 @dataclass(frozen=True)
 class FSpec:
-    """Clique bound function f, evaluated at clique numbers 1..64.
+    """Clique bound function f on 1..MAX_VERTICES (a table: 1..its length).
 
     Forms: identity, plus (x + c), pow (x ** a), const (k), table (explicit
     values for x = 1..len).  All forms must be non-decreasing and, except
     for const, must majorize the identity; const is flagged non-majorizing
-    and needs k >= 2, below which no graph with an edge is a member.
+    and needs k >= 2, below which no graph with an edge is a member.  f is
+    evaluated only when called, so a huge constant costs nothing to parse.
     """
 
     form: str
@@ -46,47 +64,26 @@ class FSpec:
     table: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.form == "identity":
-            pass
-        elif self.form == "plus":
-            if self.value < 0:
-                raise ValueError("plus form needs a constant >= 0")
-        elif self.form == "pow":
-            if self.value < 1:
-                raise ValueError("pow form needs an exponent >= 1")
-        elif self.form == "const":
-            if self.value < 2:
-                raise ValueError("const form needs a value >= 2")
-        elif self.form == "table":
-            if not self.table:
-                raise ValueError("table form needs at least one value")
-            if any(v < 1 for v in self.table):
-                raise ValueError("table values must be >= 1")
-            if any(b < a for a, b in zip(self.table, self.table[1:])):
-                raise ValueError("table values must be non-decreasing")
-            if any(v < x for x, v in enumerate(self.table, start=1)):
-                raise ValueError("table must majorize the identity")
-        else:
+        if self.form not in _F_FORMS:
             raise ValueError(f"unknown f form {self.form!r}")
+        c = len(self.table) if self.form == "table" else self.value
+        least = _F_FORMS[self.form][1]
+        if c < least:
+            raise ValueError(f"{self.form} form needs at least {least}, got {c}")
+        if any(b < a for a, b in zip(self.table, self.table[1:])):
+            raise ValueError("table values must be non-decreasing")
+        if any(v < x for x, v in enumerate(self.table, start=1)):
+            raise ValueError("table must majorize the identity")
 
     @property
     def majorizes_identity(self) -> bool:
         return self.form != "const"
 
     def __call__(self, x: int) -> int:
-        if not 1 <= x <= F_DOMAIN_MAX:
-            raise ValueError(f"f argument {x} outside 1..{F_DOMAIN_MAX}")
-        if self.form == "identity":
-            return x
-        if self.form == "plus":
-            return x + self.value
-        if self.form == "pow":
-            return x ** self.value
-        if self.form == "const":
-            return self.value
-        if x > len(self.table):
-            raise ValueError(f"lookup table of length {len(self.table)} undefined at {x}")
-        return self.table[x - 1]
+        top = len(self.table) or MAX_VERTICES
+        if not 1 <= x <= top:
+            raise ValueError(f"f argument {x} outside 1..{top}")
+        return _F_FORMS[self.form][0](self, x)
 
     def __str__(self) -> str:
         if self.form == "identity":
@@ -347,6 +344,16 @@ def find_odd_hole(n: int, rows: Sequence[int]) -> Optional[Tuple[int, ...]]:
     return None
 
 
+def _odd_hole_or_antihole(n: int, rows: Sequence[int]) -> Optional[Tuple[str, Tuple[int, ...]]]:
+    """("odd-hole", vertices) or ("odd-antihole", vertices), the graph
+    scanned before its complement; None when the graph is perfect."""
+    hole = find_odd_hole(n, rows)
+    if hole is not None:
+        return "odd-hole", hole
+    hole = find_odd_hole(n, complement_rows(n, rows))
+    return None if hole is None else ("odd-antihole", hole)
+
+
 def is_perfect(g: Graph) -> Tuple[bool, Optional[Tuple[str, Tuple[int, ...]]]]:
     """Perfection via the absence of odd holes and odd antiholes.
 
@@ -357,14 +364,8 @@ def is_perfect(g: Graph) -> Tuple[bool, Optional[Tuple[str, Tuple[int, ...]]]]:
         raise CapacityError(
             f"perfection check limited to {PERFECT_MAX_VERTICES} vertices, got {g.n}"
         )
-    hole = find_odd_hole(g.n, g.rows)
-    if hole is not None:
-        return False, ("odd-hole", hole)
-    co = complement(g)
-    hole = find_odd_hole(co.n, co.rows)
-    if hole is not None:
-        return False, ("odd-antihole", hole)
-    return True, None
+    bad = _odd_hole_or_antihole(g.n, g.rows)
+    return bad is None, bad
 
 
 # --- membership over raw rows (no witness construction), for the solver ---
@@ -385,20 +386,13 @@ def _drop_isolated(rows: Sequence[int]) -> Tuple[int, Sequence[int]]:
     return induced_rows(rows, active)
 
 
-def _complement_rows(n: int, rows: Sequence[int]) -> List[int]:
-    full = (1 << n) - 1
-    return [~rows[v] & full & ~(1 << v) for v in range(n)]
-
-
 def _member_bipartite_rows(n: int, rows: Sequence[int]) -> bool:
     return bipartition_rows(n, rows) is not None
 
 
 def _member_perfect_rows(n: int, rows: Sequence[int]) -> bool:
     n, rows = _drop_isolated(rows)
-    if find_odd_hole(n, rows) is not None:
-        return False
-    return find_odd_hole(n, _complement_rows(n, rows)) is None
+    return _odd_hole_or_antihole(n, rows) is None
 
 
 def _member_unipolar_rows(n: int, rows: Sequence[int]) -> bool:
@@ -535,8 +529,12 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
             return False
         if not clique or not check_clique(g, CliqueWitness(tuple(clique), len(clique))):
             return False
-        # omega >= |clique| and f is non-decreasing, so chi <= used <= f(omega)
-        return len(set(colors)) <= f_of(spec)(len(clique))
+        # omega >= |clique| and f is non-decreasing, so chi <= used <= f(omega);
+        # a clique past the end of a table f has no bound to meet
+        try:
+            return len(set(colors)) <= f_of(spec)(len(clique))
+        except ValueError:
+            return False
 
     return ClassEntry(member, witness, check, f_of, param)
 
@@ -551,7 +549,7 @@ def _complement_entry(base: ClassEntry) -> ClassEntry:
 
         def co_member(n: int, rows: Sequence[int]) -> bool:
             n, rows = _drop_isolated(rows)
-            return inner(n, _complement_rows(n, rows))
+            return inner(n, complement_rows(n, rows))
 
         return co_member
 

@@ -65,24 +65,14 @@ def _report(suite: str, params: Dict, instances: int, failures: List[Dict],
     return out
 
 
-def _biparticity_failure(g6: str) -> Optional[Dict]:
-    g = parse_graph6(g6)
-    chi, _ = chromatic_number(g)
-    expected = formula_biparticity(chi)
-    got = exact_cover_number(g, ClassSpec("bipartite")).value
-    if got != expected:
-        return {"graph": g6, "chi": chi, "expected": expected, "computed": got}
-    return None
-
-
-def suite_hhm(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED,
-              workers: int = 1) -> Dict:
-    """Oracle minimum bipartite covers against ceil(log2 chi)."""
+def _corpus_suite(name: str, check: Callable[[str], List[Dict]], n_max: int, samples: int,
+                  seed: int, workers: int, **params) -> Dict:
+    """Run check on every corpus graph, as graph6, and report its failures;
+    params are reported after the corpus parameters."""
     graphs = [emit_graph6(g) for g in corpus_graphs(n_max, samples, seed)]
-    results = _pool_map(_biparticity_failure, graphs, workers)
-    failures = [r for r in results if r is not None]
-    params = {"n_max": n_max, "samples": samples, "seed": seed}
-    return _report("hhm", params, len(graphs), failures)
+    failures = [f for fs in _pool_map(check, graphs, workers) for f in fs]
+    params = {"n_max": n_max, "samples": samples, "seed": seed, **params}
+    return _report(name, params, len(graphs), failures)
 
 
 CHIBOUND_CLASSES = ("chi-le:2", "chi-le:3", "chi-le-f:identity", "chi-le-f:plus:1")
@@ -107,13 +97,17 @@ def suite_chibound(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED,
                    workers: int = 1,
                    class_texts: Sequence[str] = CHIBOUND_CLASSES) -> Dict:
     """Oracle covers for coloring-bounded classes against ceil-log formulas."""
-    graphs = [emit_graph6(g) for g in corpus_graphs(n_max, samples, seed)]
-    fn = partial(_chibound_failures, class_texts=tuple(class_texts))
-    results = _pool_map(fn, graphs, workers)
-    failures = [f for fs in results for f in fs]
-    params = {"n_max": n_max, "samples": samples, "seed": seed,
-              "classes": list(class_texts)}
-    return _report("chibound", params, len(graphs), failures)
+    check = partial(_chibound_failures, class_texts=tuple(class_texts))
+    return _corpus_suite("chibound", check, n_max, samples, seed, workers,
+                         classes=list(class_texts))
+
+
+def suite_hhm(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED,
+              workers: int = 1) -> Dict:
+    """Oracle minimum bipartite covers against ceil(log2 chi): the chibound
+    check at f = 2."""
+    check = partial(_chibound_failures, class_texts=("bipartite",))
+    return _corpus_suite("hhm", check, n_max, samples, seed, workers)
 
 
 CHAIN_SPECS = ("chi-eq-omega", "perfect", "gsp", "co-unipolar", "bipartite")
@@ -141,12 +135,8 @@ def _chain_failures(g6: str) -> List[Dict]:
 def suite_chain(n_max: int = 6, samples: int = 100, seed: int = DEFAULT_SEED,
                 workers: int = 1) -> Dict:
     """Five cover numbers in their sandwich order, ends pinned to formulas."""
-    graphs = [emit_graph6(g) for g in corpus_graphs(n_max, samples, seed)]
-    results = _pool_map(_chain_failures, graphs, workers)
-    failures = [f for fs in results for f in fs]
-    params = {"n_max": n_max, "samples": samples, "seed": seed,
-              "classes": list(CHAIN_SPECS)}
-    return _report("chain", params, len(graphs), failures)
+    return _corpus_suite("chain", _chain_failures, n_max, samples, seed, workers,
+                         classes=list(CHAIN_SPECS))
 
 
 def _far3_grid() -> List[tuple]:
@@ -263,12 +253,8 @@ def _inclusion_failures(g6: str) -> List[Dict]:
 def suite_inclusion(n_max: int = 5, samples: int = 25, seed: int = DEFAULT_SEED,
                     workers: int = 1) -> Dict:
     """Smaller class, no cheaper cover: c_P >= c_Q whenever P is inside Q."""
-    graphs = [emit_graph6(g) for g in corpus_graphs(n_max, samples, seed)]
-    results = _pool_map(_inclusion_failures, graphs, workers)
-    failures = [f for fs in results for f in fs]
-    params = {"n_max": n_max, "samples": samples, "seed": seed,
-              "pairs": [list(p) for p in INCLUSION_PAIRS]}
-    return _report("inclusion", params, len(graphs), failures)
+    return _corpus_suite("inclusion", _inclusion_failures, n_max, samples, seed, workers,
+                         pairs=[list(p) for p in INCLUSION_PAIRS])
 
 
 SUITES: Dict[str, Callable[..., Dict]] = {

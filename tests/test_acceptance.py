@@ -4,6 +4,8 @@ Every check is exact equality against the independent oracle or a frozen
 closed form.  Lines print with capture disabled so they always show.
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -52,12 +54,18 @@ def report_line(capsys):
     return _line
 
 
+def _sha256(report):
+    """Digest of the report as `covernum verify` prints it."""
+    return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+
+
 def test_criterion_1_biparticity_formula(report_line):
     t0 = time.monotonic()
     report = suite_hhm(n_max=7, samples=200, seed=DEFAULT_SEED)
     ok = report["passed"] and report["instances"] >= 1024 + 400
     report_line(1, ok, f"bipartite oracle = ceil(log2 chi) on {report['instances']} graphs", t0)
     assert ok, report["failures"][:5]
+    assert _sha256(report) == "26abc36e98a3b59f91f2473185cfbd0d4ca2961f9b9ca3c387e54617e131d38a"
 
 
 def test_criterion_2_coloring_bound_formulas(report_line):
@@ -68,6 +76,7 @@ def test_criterion_2_coloring_bound_formulas(report_line):
     }
     report_line(2, ok, f"coloring-bound oracles match formulas on {report['instances']} graphs", t0)
     assert ok, report["failures"][:5]
+    assert _sha256(report) == "f53bcdbb3fe809a1bddade66b72d101838884d1e3482d6fb49cc77168bae608a"
 
 
 def _witness_coloring(g, witness):
@@ -120,6 +129,7 @@ def test_criterion_4_cover_number_chain(report_line):
     ok = report["passed"] and report["instances"] == 1200
     report_line(4, ok, f"five-class chain ordered with pinned ends on {report['instances']} graphs", t0)
     assert ok, report["failures"][:5]
+    assert _sha256(report) == "586baaf62b579613ccc348e7cc6d9708ec90c6172e73c83aac586a0567f1056d"
 
 
 def test_criterion_5_hypercube_bounds(report_line):

@@ -2,6 +2,7 @@ import pytest
 
 from covernum import (
     CapacityError,
+    check_certificate,
     check_witness,
     complement,
     complete,
@@ -18,7 +19,9 @@ from covernum import (
     parse_class_spec,
     parse_f_spec,
 )
+from covernum.covers import CoverCertificate
 from covernum.generators import all_graphs, kKl, random_graphs
+from covernum.graphs import full_edge_set
 from covernum.recognizers import CLASS_KINDS, FSpec, identity_f, membership_fn
 from oracles import naive_perfect, naive_unipolar
 
@@ -219,6 +222,13 @@ def test_check_witness_rejects_tampering():
     bad = {"class": "chi-le-f:identity", "coloring": [0, 1, 0, 1, 2], "clique": ["0", "1"],
            "f_omega": 2}
     assert not check_witness(c5, parse_class_spec("chi-le-f:identity"), bad)
+
+    # a well-formed witness whose clique lies past the end of a table f
+    k3 = complete(3)
+    spec = parse_class_spec("chi-le-f:table:1,2")
+    w = {"class": str(spec), "coloring": [0, 1, 2], "clique": [0, 1, 2]}
+    assert not check_witness(k3, spec, w)
+    assert not check_certificate(k3, CoverCertificate(k3, spec, (full_edge_set(k3),), (w,), 1))
 
 
 def test_membership_fn_matches_in_class():

@@ -11,11 +11,14 @@ from covernum import (
     decide_cover,
     exact_cover_number,
     hypercube,
+    in_class,
     kKl,
     make_graph,
     max_class_subgraph_size,
     maximal_class_subgraphs,
     parse_class_spec,
+    parse_graph6,
+    spanning_subgraph,
     unipolar_subgraph_bound,
 )
 from covernum.generators import all_graphs, random_graphs
@@ -210,6 +213,17 @@ def test_partition_and_subset_routes_agree():
             via_partitions = sorted(_partition_family(g, spec, bound, active))
             via_subsets = sorted(_subset_family(g, spec))
             assert via_partitions == via_subsets, (g, str(spec))
+
+
+def test_partition_filter_keeps_only_members():
+    # Fj~mo (chi 5, omega 4): one partition candidate is a 15-edge
+    # non-member (chi 4, omega 3), so the membership filter is needed
+    g = parse_graph6("Fj~mo")
+    for text in ("chi-le-f:identity", "chi-eq-omega"):
+        spec = parse_class_spec(text)
+        family = maximal_class_subgraphs(g, spec)
+        assert len(family) == 15
+        assert all(in_class(spanning_subgraph(g, p), spec) is not None for p in family)
 
 
 def test_solver_stats_populated():

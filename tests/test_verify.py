@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from covernum.verify import (
@@ -12,6 +15,11 @@ from covernum.verify import (
     suite_hypercube,
     suite_inclusion,
 )
+
+
+def _sha256(report):
+    """Digest of the report as `covernum verify` prints it."""
+    return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
 
 
 def test_corpus_counts():
@@ -63,6 +71,7 @@ def test_arithmetic_suite_sweep():
     assert report["passed"]
     assert report["instances"] == 60
     assert report["params"]["d_max"] == 62
+    assert _sha256(report) == "72ff0830436e41817d5838d7b009e505215341ac2754c858af0fc32e25e62a4a"
 
 
 def test_hypercube_suite_records():
@@ -86,6 +95,7 @@ def test_far3_suite_asserts_powers_of_two():
         assert r["asserted"] == (l & (l - 1) == 0)
         if not r["asserted"]:
             assert r["expected"] is None
+    assert _sha256(report) == "73c229f8a79a7a142004922f525bd7d7c588d34a260d90e0a3fd0156c60b3514"
 
 
 def test_chain_suite_small():
