@@ -10,7 +10,6 @@ differ.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -99,7 +98,10 @@ def formula_cover(g: Graph, spec: ClassSpec) -> CoverCertificate:
     if clique:
         const = {coloring.colors[v]: (i,) * t for i, v in enumerate(clique)}
         taken = set(const.values())
-        fresh = (s for s in itertools.product(range(base), repeat=t) if s not in taken)
+        # every t-digit string, most significant digit first, in counting order
+        counted = (tuple(c // base ** (t - 1 - d) % base for d in range(t))
+                   for c in range(base ** t))
+        fresh = (s for s in counted if s not in taken)
         strings = [const[c] if c in const else next(fresh) for c in range(chi)]
     else:
         strings = [tuple(c // base ** d % base for d in range(t)) for c in range(chi)]

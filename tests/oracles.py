@@ -72,5 +72,27 @@ def naive_perfect(g: Graph) -> bool:
     return True
 
 
+def naive_odd_hole(n: int, rows):
+    """First odd vertex subset of size >= 5, by size and then
+    lexicographically, that induces a single cycle; None if there is none."""
+    for k in range(5, n + 1, 2):
+        for combo in combinations(range(n), k):
+            if all(sum(rows[u] >> v & 1 for v in combo) == 2 for u in combo) \
+                    and _connected(rows, combo):
+                return combo
+    return None
+
+
+def _connected(rows, combo) -> bool:
+    seen, todo = {combo[0]}, [combo[0]]
+    while todo:
+        u = todo.pop()
+        for v in combo:
+            if rows[u] >> v & 1 and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return len(seen) == len(combo)
+
+
 def subgraph_of(g: Graph, edge_subset) -> Graph:
     return make_graph(g.n, list(edge_subset))

@@ -172,6 +172,17 @@ def test_cover_chi_eq_omega(capsys, tmp_path):
     assert len(data["parts"]) == 2
 
 
+def test_cover_base_past_ssize_t(capsys, monkeypatch):
+    import io
+
+    # omega 4, so the digit base is 4 ** 40, far past a C ssize_t
+    monkeypatch.setattr("sys.stdin", io.StringIO("Fj~mo\n"))
+    code, data, _ = run_json(capsys, "cover", "--class", "chi-le-f:pow:40", "-")
+    assert code == 0
+    assert data["formula"] == 1
+    assert len(data["parts"]) == 1
+
+
 def test_solve_c5_bipartite(capsys, tmp_path):
     path = write_graph(tmp_path, "Dhc")
     code, data, _ = run_json(capsys, "solve", "--class", "bipartite", path)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from covernum import (
@@ -18,12 +20,13 @@ from covernum import (
     make_graph,
     parse_class_spec,
     parse_f_spec,
+    parse_graph6,
 )
 from covernum.covers import CoverCertificate
 from covernum.generators import all_graphs, kKl, random_graphs
-from covernum.graphs import full_edge_set
-from covernum.recognizers import CLASS_KINDS, FSpec, identity_f, membership_fn
-from oracles import naive_perfect, naive_unipolar
+from covernum.graphs import complement_rows, full_edge_set
+from covernum.recognizers import CLASS_KINDS, FSpec, find_odd_hole, identity_f, membership_fn
+from oracles import naive_odd_hole, naive_perfect, naive_unipolar
 
 ALL_SPECS = [parse_class_spec(t) for t in (
     "bipartite", "chi-le:2", "chi-le:3", "chi-le-f:identity",
@@ -164,6 +167,44 @@ def test_perfect_antihole_witness():
     assert not ok
     assert bad[0] == "odd-antihole"
     assert len(bad[1]) == 7
+
+
+def _random_rows(rng, n, p):
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
+
+
+def test_odd_hole_against_subset_scan_oracle():
+    graphs = [(g.n, g.rows) for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(2020)
+    graphs += [(n, _random_rows(rng, n, p))
+               for p in (0.3, 0.5, 0.7) for n in range(7, 13) for _ in range(8)]
+    for n, rows in graphs:
+        for r in (rows, complement_rows(n, rows)):
+            assert find_odd_hole(n, r) == naive_odd_hole(n, r)
+
+
+def test_odd_hole_reported_before_shorter_antihole():
+    # a 9-hole on 0..8 and an anti-C7 overlapping it; found by random search
+    # over such graphs with naive_odd_hole
+    g = parse_graph6("KhCGGE@wLTLt")
+    anti = find_odd_hole(g.n, complement(g).rows)
+    assert anti == naive_odd_hole(g.n, complement(g).rows) == (0, 1, 2, 8, 9, 10, 11)
+    assert is_perfect(g) == (False, ("odd-hole", tuple(range(9))))
+
+
+def test_odd_hole_lexicographic_tie_break():
+    # two 5-holes through 0-1: the path search meets 0-1-3-6-4 first,
+    # but 0-1-5-2-4 has the lexicographically smaller vertex set
+    g = parse_graph6("Fah_o")
+    assert g.edges() == [(0, 1), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5), (3, 6), (4, 6)]
+    assert find_odd_hole(g.n, g.rows) == naive_odd_hole(g.n, g.rows) == (0, 1, 2, 4, 5)
+    assert is_perfect(g) == (False, ("odd-hole", (0, 1, 2, 4, 5)))
 
 
 def test_perfect_capacity():
