@@ -35,7 +35,18 @@ def _read_graph(args: argparse.Namespace) -> Graph:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    # A witness's f_omega can pass the int-to-str digit limit; lift it only
+    # while serialising, so parsing input keeps it.  Python 3.10.0-3.10.6
+    # have no limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(obj, indent=2)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

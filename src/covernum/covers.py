@@ -21,11 +21,7 @@ from .recognizers import ClassSpec, FSpec, check_witness, class_f, flat_upto, in
 
 def formula_biparticity(chi: int) -> int:
     """Parts needed to cover a chi-chromatic graph by bipartite graphs."""
-    if chi < 0:
-        raise ValueError("chromatic number cannot be negative")
-    if chi <= 1:
-        return 0
-    return ceil_log(2, chi)
+    return formula_chibound(chi, 0, lambda omega: 2)
 
 
 def formula_chibound(chi: int, omega: int, f: Callable[[int], int]) -> int:

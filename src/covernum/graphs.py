@@ -190,11 +190,20 @@ def spanning_subgraph(g: Graph, es: EdgeSet) -> Graph:
     """Subgraph keeping all n vertices and only the edges in es."""
     if es.host != g:
         raise ValueError("edge set belongs to a different host graph")
+    return Graph(g.n, tuple(mask_rows(g, es.bits)))
+
+
+def mask_rows(g: Graph, mask: int) -> List[int]:
+    """Adjacency rows over all n vertices of the edges whose ids are in mask."""
     rows = [0] * g.n
-    for u, v in es.edges():
+    idx = edge_index(g)
+    while mask:
+        j = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        u, v = idx[j]
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(g.n, tuple(rows))
+    return rows
 
 
 def induced_rows(rows: Sequence[int], vertex_mask: int) -> Tuple[int, Sequence[int]]:

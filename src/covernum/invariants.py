@@ -8,7 +8,6 @@ desk scale (n <= 64), which branch and bound handles comfortably.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .graphs import Graph, bits_of, induced_rows
@@ -41,80 +40,42 @@ class CliqueWitness:
     vertices: Tuple[int, ...]
     size: int
 
-    @property
-    def mask(self) -> int:
-        m = 0
-        for v in self.vertices:
-            m |= 1 << v
-        return m
 
+def _max_clique(rows: Sequence[int], cand: int) -> int:
+    """Lexicographically least maximum clique inside the candidate mask.
 
-def _max_clique_size(rows: Sequence[int], cand: int) -> int:
-    """Largest clique inside the candidate mask, classic bitset expansion."""
+    Branch and bound that tries vertices in increasing id and cuts a
+    branch only when it cannot beat the best size so far.  Cliques are
+    visited in lexicographic order, so the first one to reach the final
+    size is the least.
+    """
     best = 0
+    best_mask = 0
 
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
+    def expand(cand: int, size: int, cur: int) -> None:
+        nonlocal best, best_mask
         if size > best:
             best = size
+            best_mask = cur
         while cand:
             if size + cand.bit_count() <= best:
                 return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(cand & rows[v], size + 1)
+            low = cand & -cand
+            cand ^= low
+            expand(cand & rows[low.bit_length() - 1], size + 1, cur | low)
 
-    expand(cand, 0)
-    return best
-
-
-def _has_clique(rows: Sequence[int], cand: int, target: int) -> bool:
-    """Does the candidate mask contain a clique of the target size?"""
-    if target <= 0:
-        return True
-    found = False
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal found
-        if size >= target:
-            found = True
-            return
-        while cand and not found:
-            if size + cand.bit_count() < target:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(cand & rows[v], size + 1)
-
-    expand(cand, 0)
-    return found
+    expand(cand, 0, 0)
+    return best_mask
 
 
 def omega_of_rows(n: int, rows: Sequence[int]) -> int:
-    return _max_clique_size(rows, (1 << n) - 1)
-
-
-@lru_cache(maxsize=65536)
-def _clique_number_cached(g: Graph) -> Tuple[int, CliqueWitness]:
-    n, rows = g.n, g.rows
-    w = omega_of_rows(n, rows)
-    # lexicographically least maximum clique, grown smallest feasible vertex first
-    chosen: List[int] = []
-    cand = (1 << n) - 1
-    while len(chosen) < w:
-        need = w - len(chosen)
-        for v in bits_of(cand):
-            rest = cand & rows[v]
-            if _has_clique(rows, rest, need - 1):
-                chosen.append(v)
-                cand = rest
-                break
-    return w, CliqueWitness(tuple(chosen), w)
+    return _max_clique(rows, (1 << n) - 1).bit_count()
 
 
 def clique_number(g: Graph) -> Tuple[int, CliqueWitness]:
     """Maximum clique size with the lexicographically least witness."""
-    return _clique_number_cached(g)
+    clique = tuple(bits_of(_max_clique(g.rows, (1 << g.n) - 1)))
+    return len(clique), CliqueWitness(clique, len(clique))
 
 
 def k_colorable_rows(n: int, rows: Sequence[int], k: int) -> Optional[List[int]]:
@@ -224,15 +185,10 @@ def chi_of_rows(n: int, rows: Sequence[int]) -> int:
     return _color_components(n, rows).count
 
 
-@lru_cache(maxsize=65536)
-def _chromatic_cached(g: Graph) -> Tuple[int, Coloring]:
-    coloring = _color_components(g.n, g.rows)
-    return coloring.count, coloring
-
-
 def chromatic_number(g: Graph) -> Tuple[int, Coloring]:
     """Exact chromatic number and a coloring attaining it."""
-    return _chromatic_cached(g)
+    coloring = _color_components(g.n, g.rows)
+    return coloring.count, coloring
 
 
 def is_k_colorable(g: Graph, k: int) -> Optional[Coloring]:
@@ -263,9 +219,3 @@ def check_clique(g: Graph, witness: CliqueWitness) -> bool:
     if any(not 0 <= v < g.n for v in vs):
         return False
     return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
-
-
-def induced_chi_omega(g: Graph, vertex_mask: int) -> Tuple[int, int]:
-    """(chi, omega) of the induced subgraph on the given vertex mask."""
-    cn, crows = induced_rows(g.rows, vertex_mask)
-    return chi_of_rows(cn, crows), omega_of_rows(cn, crows)

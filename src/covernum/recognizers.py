@@ -390,9 +390,12 @@ def is_perfect(g: Graph) -> Tuple[bool, Optional[Tuple[str, Tuple[int, ...]]]]:
     Returns (True, None) or (False, certificate) where the certificate
     names the offending vertex subset.
     """
-    if g.n > PERFECT_MAX_VERTICES:
+    # An isolated vertex lies on no hole, and on no antihole because it is
+    # universal in the complement, so only vertices with an edge count.
+    active = sum(1 for row in g.rows if row)
+    if active > PERFECT_MAX_VERTICES:
         raise CapacityError(
-            f"perfection check limited to {PERFECT_MAX_VERTICES} vertices, got {g.n}"
+            f"perfection check limited to {PERFECT_MAX_VERTICES} non-isolated vertices, got {active}"
         )
     bad = _odd_hole_or_antihole(g.n, g.rows)
     return bad is None, bad

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .covers import CoverCertificate
-from .graphs import EdgeSet, Graph, bits_of, edge_index, spanning_subgraph
+from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows, spanning_subgraph
 from .recognizers import ClassSpec, class_f, color_bound, in_class, membership_fn
 
 
@@ -107,20 +107,8 @@ def _partition_family(
     # bound <= f(1) <= f(omega(candidate)) makes it a member.
     if class_f(spec)(1) < bound:
         member = membership_fn(spec)
-        masks = {mask for mask in masks if member(g.n, _mask_rows(g, mask))}
+        masks = {mask for mask in masks if member(g.n, mask_rows(g, mask))}
     return _inclusion_maximal(list(masks))
-
-
-def _mask_rows(g: Graph, mask: int) -> List[int]:
-    rows = [0] * g.n
-    idx = edge_index(g)
-    while mask:
-        j = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        u, v = idx[j]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
 
 
 def _inclusion_maximal(masks: Sequence[int]) -> List[int]:
@@ -350,14 +338,10 @@ def max_class_subgraph_size(
     an exact fallback for unipolar only: pick the clique side A, take all
     its incident edges, and solve the cluster side by subset DP.
     """
-    if g.edge_count <= budget.max_edges:
-        family, _ = family_maximal_masks(g, spec, budget)
-        return max((mask.bit_count() for mask in family), default=0)
-    if spec.kind == "unipolar":
+    if spec.kind == "unipolar" and g.edge_count > budget.max_edges:
         return _max_unipolar_edges(g)
-    raise BudgetError(
-        f"{g.edge_count} edges exceed the enumeration budget of {budget.max_edges}"
-    )
+    family, _ = family_maximal_masks(g, spec, budget)
+    return max((mask.bit_count() for mask in family), default=0)
 
 
 def _cliques(rows: Sequence[int], cur: int, cand: int) -> Iterator[int]:

@@ -6,6 +6,7 @@ full assignment sweeps, no pruning.  Keep these dumb.
 
 from functools import lru_cache
 from itertools import combinations, product
+from typing import Tuple
 
 from covernum import Graph, make_graph
 from covernum.graphs import induced_rows
@@ -25,13 +26,14 @@ def brute_chromatic(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
-def brute_clique(g: Graph) -> int:
-    best = 0
+def brute_clique(g: Graph) -> Tuple[int, Tuple[int, ...]]:
+    """Clique number and the first maximum clique; combinations yields
+    subsets in lexicographic order, so that clique is the least one."""
     for size in range(g.n, 0, -1):
         for sub in combinations(range(g.n), size):
             if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
-                return size
-    return best
+                return size, sub
+    return 0, ()
 
 
 def naive_unipolar(g: Graph) -> bool:

@@ -116,6 +116,28 @@ def test_recognize_perfect_tests_perfection_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def c5_with_isolated_vertices():
+    """C5 plus the edge 5-6 on 30 vertices: 7 vertices with an edge."""
+    from covernum import emit_graph6, make_graph
+
+    return emit_graph6(make_graph(30, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6)]))
+
+
+def test_recognize_perfect_cap_skips_isolated_vertices(capsys, tmp_path):
+    path = write_graph(tmp_path, c5_with_isolated_vertices())
+    code, data, _ = run_json(capsys, "recognize", "--class", "perfect", path)
+    assert code == 0
+    assert data["member"] is False
+    assert data["witness"] == {"kind": "odd-hole", "vertices": [0, 1, 2, 3, 4]}
+
+
+def test_solve_perfect_cap_skips_isolated_vertices(capsys, tmp_path):
+    path = write_graph(tmp_path, c5_with_isolated_vertices())
+    code, data, _ = run_json(capsys, "solve", "--class", "perfect", path)
+    assert code == 0
+    assert data["value"] == 2
+
+
 def test_recognize_2k4_unipolar(capsys, tmp_path):
     from covernum import emit_graph6, kKl
 
@@ -181,6 +203,29 @@ def test_cover_base_past_ssize_t(capsys, monkeypatch):
     assert code == 0
     assert data["formula"] == 1
     assert len(data["parts"]) == 1
+
+
+def test_f_omega_past_int_str_digit_limit(capsys, monkeypatch):
+    import io
+    import sys
+
+    # omega 4, so f_omega is 4 ** 8000: 4,817 digits, past the default
+    # limit of 4,300 on int-to-str conversion (absent before Python 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for cmd in ("recognize", "solve"):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Fj~mo\n"))
+        code, out, _ = run(capsys, cmd, "--class", "chi-le-f:pow:8000", "-")
+        assert code == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            data = json.loads(out)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        witness = data["witness"] if cmd == "recognize" else data["certificate"]["witnesses"][0]
+        assert witness["f_omega"] == 4**8000
 
 
 def test_solve_c5_bipartite(capsys, tmp_path):

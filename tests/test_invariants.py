@@ -18,7 +18,7 @@ from covernum.generators import (
     random_graphs,
     triangle_free_chromatic,
 )
-from covernum.invariants import Coloring, induced_chi_omega
+from covernum.invariants import Coloring
 from oracles import brute_chromatic, brute_clique
 
 
@@ -86,14 +86,12 @@ def test_chromatic_against_brute_force():
 
 
 def test_clique_against_brute_force():
-    for n in range(5):
-        for g in all_graphs(n):
-            omega, witness = clique_number(g)
-            assert omega == brute_clique(g)
-            assert check_clique(g, witness)
-    for g in random_graphs(7, 40, 11):
+    graphs = [g for n in range(5) for g in all_graphs(n)]
+    # ties between maximum cliques are common on 10 vertices
+    graphs += random_graphs(7, 40, 11) + random_graphs(10, 40, 13)
+    for g in graphs:
         omega, witness = clique_number(g)
-        assert omega == brute_clique(g)
+        assert (omega, witness.vertices) == brute_clique(g)
         assert check_clique(g, witness)
 
 
@@ -130,16 +128,6 @@ def test_check_clique_rejects_bad():
     assert check_clique(g, CliqueWitness((0, 1), 2))
     assert not check_clique(g, CliqueWitness((0, 2), 2))
     assert not check_clique(g, CliqueWitness((0, 0), 2))
-
-
-def test_induced_chi_omega():
-    g = cycle(5)
-    chi, omega = induced_chi_omega(g, 0b11111)
-    assert (chi, omega) == (3, 2)
-    # any four vertices of C5 induce a path: bipartite
-    chi, omega = induced_chi_omega(g, 0b01111)
-    assert (chi, omega) == (2, 2)
-    assert induced_chi_omega(g, 0) == (0, 0)
 
 
 def test_coloring_color_count_is_exact():

@@ -209,7 +209,7 @@ def test_odd_hole_lexicographic_tie_break():
 
 def test_perfect_capacity():
     with pytest.raises(CapacityError):
-        is_perfect(make_graph(27, []))
+        is_perfect(cycle(27))
 
 
 def test_chi_eq_omega_witness():
