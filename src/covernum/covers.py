@@ -65,31 +65,33 @@ def _finish(g: Graph, spec: ClassSpec, parts: List[EdgeSet]) -> CoverCertificate
     return CoverCertificate(g, spec, tuple(parts), tuple(wits), len(parts))
 
 
-def formula_cover(g: Graph, spec: ClassSpec) -> CoverCertificate:
-    """Cover by formula_chibound(chi, omega, f) parts from the class
-    {chi <= f(omega)} of spec.
-
-    Each color of an optimal coloring becomes a string of t base-f(omega)
-    digits, and part d keeps the edges whose endpoint strings differ in
-    digit d, so digit d colors part d with at most f(omega) colors.  When
-    f(1) >= f(omega) that makes every part a member, and the strings are
-    the colors' plain digits.  Otherwise the colors on one maximum clique
-    get distinct constant strings, which keeps the clique inside every
-    part, so each part has the same clique number as g.
-    """
-    f = class_f(spec)
-    if f is None:
-        raise ValueError(f"class {spec} is not of the form chi <= f(omega)")
+def digit_layout(g: Graph, f: Callable[[int], int]) -> Tuple[Coloring, int, Tuple[int, ...]]:
+    """What the formula cover of g for f is built from: an optimal
+    colouring, the digit base f(omega), and the maximum clique whose
+    colours get constant digit strings (empty where plain digits keep
+    every part a member).  For f = identity the base is omega itself."""
     chi, coloring = chromatic_number(g)
+    low = f(1)
+    if chi <= 1 or flat_upto(f, chi):  # f is flat up to omega <= chi
+        return coloring, low, ()
+    omega, witness = clique_number(g)
+    base = f(omega)
+    return coloring, base, tuple(sorted(witness.vertices)) if base > low else ()
+
+
+def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
+                clique: Tuple[int, ...]) -> CoverCertificate:
+    """Cover of g by ceil_log(base, chi) parts, each witnessed for spec.
+
+    Each colour becomes a string of t base-`base` digits, and part d keeps
+    the edges whose endpoint strings differ in digit d, so digit d colours
+    part d with at most `base` colours.  The colours on `clique` get
+    distinct constant strings, which keeps the clique inside every part;
+    otherwise the strings are the colours' plain digits.
+    """
+    chi = coloring.count
     if chi <= 1:
         return CoverCertificate(g, spec, (), (), 0)
-    low = f(1)
-    base, clique = low, ()
-    if not flat_upto(f, chi):  # else f is flat up to omega <= chi
-        omega, witness = clique_number(g)
-        base = f(omega)
-        if base > low:
-            clique = sorted(witness.vertices)
     t = ceil_log(base, chi)
     if clique:
         const = {coloring.colors[v]: (i,) * t for i, v in enumerate(clique)}
@@ -108,6 +110,20 @@ def formula_cover(g: Graph, spec: ClassSpec) -> CoverCertificate:
             if su[d] != sv[d]:
                 masks[d] |= 1 << i
     return _finish(g, spec, [EdgeSet(g, m) for m in masks])
+
+
+def formula_cover(g: Graph, spec: ClassSpec) -> CoverCertificate:
+    """Cover by formula_chibound(chi, omega, f) parts from the class
+    {chi <= f(omega)} of spec: the digit cover of g's layout for f.
+
+    When f(1) >= f(omega) every part is coloured with at most f(1) colours,
+    so it is a member.  Otherwise the clique's constant strings give each
+    part the clique number of g, and with it the bound f(omega).
+    """
+    f = class_f(spec)
+    if f is None:
+        raise ValueError(f"class {spec} is not of the form chi <= f(omega)")
+    return digit_cover(g, spec, *digit_layout(g, f))
 
 
 def chi_le_k_cover(g: Graph, k: int) -> CoverCertificate:

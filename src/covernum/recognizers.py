@@ -10,12 +10,14 @@ of that length, and the graph is searched before its complement.
 
 Each class is declared once, as an entry of the CLASSES registry; spec
 parsing, membership, witnesses, witness checks and, for the colouring
-classes {chi <= f(omega)}, the function f are all lookups into it.
+classes {chi <= f(omega)}, the function f are all lookups into it.  The
+other classes declare there whether they lie inside {chi = omega} and
+whether they hold every bipartite graph, which bounds their cover numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graphs import (
@@ -524,6 +526,13 @@ class ClassEntry:
     defines it as {chi <= f(omega)}; its colour bound, partition route,
     cover formula and construction all follow from f.  param names the
     ClassSpec field the kind takes.
+
+    The other classes declare where they sit between two colouring
+    classes.  inside_chi_eq_omega: every member has chi = omega, so a cover
+    number is at least that of {chi = omega}, ceil_log(omega, chi).
+    holds_bipartite: every bipartite graph is a member, so a cover number
+    is at most that of bipartite, ceil_log(2, chi), and the bipartite
+    formula cover's parts are members.
     """
 
     member: Callable[[ClassSpec], MemberFn]
@@ -531,6 +540,8 @@ class ClassEntry:
     check: Callable[[Graph, ClassSpec, Dict], bool]
     f: Optional[Callable[[ClassSpec], Callable[[int], int]]] = None
     param: Optional[str] = None
+    inside_chi_eq_omega: bool = False
+    holds_bipartite: bool = False
 
 
 def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) -> ClassEntry:
@@ -619,7 +630,12 @@ def _flat(k: int) -> Callable[[int], int]:
     return lambda omega: k
 
 
-_UNIPOLAR = ClassEntry(lambda spec: _member_unipolar_rows, _split_witness, _check_split_witness)
+# Unipolar and co-unipolar graphs are perfect, so they and gsp have chi =
+# omega; the complement of a bipartite graph is unipolar (two cliques), but
+# C6 is bipartite and not unipolar.
+_UNIPOLAR = ClassEntry(lambda spec: _member_unipolar_rows, _split_witness, _check_split_witness,
+                       inside_chi_eq_omega=True)
+_CHAIN = {"inside_chi_eq_omega": True, "holds_bipartite": True}
 
 CLASSES: Dict[str, ClassEntry] = {
     "bipartite": ClassEntry(
@@ -635,10 +651,11 @@ CLASSES: Dict[str, ClassEntry] = {
         lambda spec: _member_perfect_rows,
         lambda g, spec: {} if is_perfect(g)[0] else None,
         lambda g, spec, witness: is_perfect(g)[0],
+        **_CHAIN,
     ),
     "unipolar": _UNIPOLAR,
-    "co-unipolar": _complement_entry(_UNIPOLAR),
-    "gsp": _union_entry("unipolar", "co-unipolar"),
+    "co-unipolar": replace(_complement_entry(_UNIPOLAR), **_CHAIN),
+    "gsp": replace(_union_entry("unipolar", "co-unipolar"), **_CHAIN),
 }
 
 CLASS_KINDS = tuple(CLASSES)

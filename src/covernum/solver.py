@@ -1,11 +1,23 @@
-"""Exact minimum cover numbers by reduction to set cover.
+"""Exact minimum cover numbers: bounds first, enumeration where they differ.
 
-Any cover part extends to a subgraph that is maximal within the class
-(classes here are not all closed under edge deletion, so maximal means
-"no proper superset is a member", not "adding any one edge leaves").
-The minimum cover therefore equals minimum set cover over the family of
-class-maximal edge subsets, which branch and bound settles quickly at
-desk scale.
+A host that is a member covers itself with one part.  For any other host
+with an edge the bounds step tries the paper's results before any
+enumeration.  A colouring class {chi <= f(omega)} has the exact cover
+number ceil_log(f(omega), chi), certified by the formula cover (method
+"formula").  Every other class declares in the registry whether its
+members all have chi = omega and whether it holds every bipartite graph;
+its cover number then lies between max(2, ceil_log(omega, chi)) and
+ceil_log(2, chi), and where the two meet the bipartite formula cover's
+parts, re-witnessed for the class, settle it (method "bounds").
+
+Otherwise the solver sweeps: any cover part extends to a subgraph that is
+maximal within the class (classes here are not all closed under edge
+deletion, so maximal means "no proper superset is a member", not "adding
+any one edge leaves").  The minimum cover therefore equals minimum set
+cover over the family of class-maximal edge subsets, which branch and
+bound settles quickly at desk scale.  The edge budget guards only this
+sweep.  `sweep_cover_number` skips the bounds step, so the verify suites
+compare the sweep with the formulas.
 
 Two family generators, both exact:
 
@@ -25,11 +37,20 @@ Whichever is predicted cheaper runs; results agree (tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .covers import CoverCertificate
+from .covers import CoverCertificate, digit_cover, digit_layout
 from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows, spanning_subgraph
-from .recognizers import ClassSpec, class_f, color_bound, in_class, membership_fn
+from .invariants import ceil_log
+from .recognizers import (
+    CLASSES,
+    IDENTITY,
+    ClassSpec,
+    class_f,
+    color_bound,
+    in_class,
+    membership_fn,
+)
 
 
 class BudgetError(RuntimeError):
@@ -278,15 +299,46 @@ def _certificate(g: Graph, spec: ClassSpec, masks: List[int]) -> CoverCertificat
     return CoverCertificate(g, spec, tuple(parts), tuple(wits), len(parts))
 
 
+def _no_member_covers(g: Graph, spec: ClassSpec, j: int) -> ValueError:
+    u, v = edge_index(g)[j]
+    return ValueError(f"class {spec} has no member covering edge ({u}, {v})")
+
+
+Bounds = Tuple[int, Optional[int], Optional[Callable[[], CoverCertificate]]]
+
+
+def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int]) -> Bounds:
+    """(lower, upper, cover): lower <= cover number <= upper for g, a host
+    with an edge outside the class, and a maker of a cover by upper parts.
+    upper is None where no formula bounds the class from above."""
+    f = class_f(spec)
+    if f is not None:
+        coloring, base, clique = digit_layout(g, f)
+        if base < 2:  # f(omega) < 2: no subgraph of g with an edge is a member
+            raise _no_member_covers(g, spec, 0)
+        value = ceil_log(base, coloring.count)
+        return value, value, lambda: digit_cover(g, spec, coloring, base, clique)
+    entry = CLASSES[spec.kind]
+    # without an upper bound, the lower one only answers a capped question
+    if not entry.holds_bipartite and (cap is None or not entry.inside_chi_eq_omega):
+        return 2, None, None
+    coloring, omega, _ = digit_layout(g, IDENTITY)
+    chi = coloring.count
+    lower = max(2, ceil_log(omega, chi)) if entry.inside_chi_eq_omega else 2
+    if not entry.holds_bipartite:
+        return lower, None, None
+    return lower, ceil_log(2, chi), lambda: digit_cover(g, spec, coloring, 2, ())
+
+
 def _solve(
-    g: Graph, spec: ClassSpec, cap: Optional[int], budget: SolveBudget, stats: SolveStats
+    g: Graph, spec: ClassSpec, cap: Optional[int], budget: SolveBudget, stats: SolveStats,
+    bounded: bool = True,
 ) -> Optional[CoverCertificate]:
-    """Smallest cover of g with at most cap parts (None: no cap), or None."""
+    """Smallest cover of g with at most cap parts (None: no cap), or None.
+    bounded=False skips the bounds step and always sweeps."""
     m = g.edge_count
     if m == 0:
         return CoverCertificate(g, spec, (), (), 0)
-    if m > budget.max_edges:
-        raise BudgetError(f"{m} edges exceed the enumeration budget of {budget.max_edges}")
     if cap is not None and cap < 1:
         return None
     universe = (1 << m) - 1
@@ -296,15 +348,21 @@ def _solve(
         stats.family_size = 1
         stats.method = "host-member"
         return _certificate(g, spec, [universe])
+    if bounded:
+        lower, upper, cover = _bounds(g, spec, cap)
+        if cap is not None and cap < lower:
+            return None
+        if upper == lower:
+            stats.method = "bounds" if class_f(spec) is None else "formula"
+            return cover()
     family, stats.method = family_maximal_masks(g, spec, budget)
     stats.family_size = len(family)
     covered = 0
     for mask in family:
         covered |= mask
     if covered != universe:
-        j = ((universe & ~covered) & -(universe & ~covered)).bit_length() - 1
-        u, v = edge_index(g)[j]
-        raise ValueError(f"class {spec} has no member covering edge ({u}, {v})")
+        missing = universe & ~covered
+        raise _no_member_covers(g, spec, (missing & -missing).bit_length() - 1)
     picked = _min_set_cover(universe, family, cap, stats)
     if picked is None:
         return None
@@ -317,6 +375,17 @@ def exact_cover_number(
     """Minimum number of class members whose union is E(g), certified."""
     stats = SolveStats()
     cert = _solve(g, spec, None, budget, stats)
+    return SolveResult(len(cert.parts), cert, stats)
+
+
+def sweep_cover_number(
+    g: Graph, spec: ClassSpec, budget: SolveBudget = SolveBudget()
+) -> SolveResult:
+    """exact_cover_number without the bounds step: the host-member shortcut,
+    then the maximal family and branch and bound.  Enumeration only, so it
+    can be checked against the formulas."""
+    stats = SolveStats()
+    cert = _solve(g, spec, None, budget, stats, bounded=False)
     return SolveResult(len(cert.parts), cert, stats)
 
 

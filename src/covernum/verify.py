@@ -2,7 +2,9 @@
 
 Each suite sweeps a corpus (exhaustive labelled graphs up to n = 5, then
 seeded random samples) and compares the exact set-cover oracle with the
-formula or ordering it is supposed to obey.  Reports are deterministic
+formula or ordering it is supposed to obey.  The oracle is
+`sweep_cover_number`, which enumerates and never reads an answer off the
+formulas it is checked against.  Reports are deterministic
 JSON-ready dicts: parameters in, failures out, no timestamps.
 """
 
@@ -25,7 +27,7 @@ from .generators import all_graphs, hypercube, kKl, random_graphs
 from .graphs import Graph
 from .invariants import ceil_log, chromatic_number, clique_number
 from .recognizers import ClassSpec, class_f, identity_f, parse_class_spec
-from .solver import exact_cover_number, max_class_subgraph_size
+from .solver import max_class_subgraph_size, sweep_cover_number
 
 DEFAULT_SEED = 20260816
 
@@ -86,7 +88,7 @@ def _chibound_failures(g6: str, class_texts: Sequence[str]) -> List[Dict]:
     for text in class_texts:
         spec = parse_class_spec(text)
         expected = formula_chibound(chi, omega, class_f(spec))
-        got = exact_cover_number(g, spec).value
+        got = sweep_cover_number(g, spec).value
         if got != expected:
             out.append({"graph": g6, "class": text, "chi": chi, "omega": omega,
                         "expected": expected, "computed": got})
@@ -117,7 +119,7 @@ def _chain_failures(g6: str) -> List[Dict]:
     g = parse_graph6(g6)
     chi, _ = chromatic_number(g)
     omega, _ = clique_number(g)
-    values = [exact_cover_number(g, parse_class_spec(t)).value for t in CHAIN_SPECS]
+    values = [sweep_cover_number(g, parse_class_spec(t)).value for t in CHAIN_SPECS]
     out = []
     for a, b in zip(values, values[1:]):
         if a > b:
@@ -162,7 +164,7 @@ def suite_far3(n_max: int = 0, samples: int = 0, seed: int = DEFAULT_SEED,
     spec = ClassSpec("co-unipolar")
     for k, l in _far3_grid():
         g = kKl(k, l)
-        got = exact_cover_number(g, spec).value
+        got = sweep_cover_number(g, spec).value
         power_of_two = l & (l - 1) == 0
         expected = min(k, ceil_log(2, l)) if power_of_two else None
         records.append({"k": k, "l": l, "computed": got, "expected": expected,
@@ -240,7 +242,7 @@ INCLUSION_PAIRS = (
 def _inclusion_failures(g6: str) -> List[Dict]:
     g = parse_graph6(g6)
     needed = sorted({t for pair in INCLUSION_PAIRS for t in pair})
-    values = {t: exact_cover_number(g, parse_class_spec(t)).value for t in needed}
+    values = {t: sweep_cover_number(g, parse_class_spec(t)).value for t in needed}
     out = []
     for small, large in INCLUSION_PAIRS:
         if values[small] < values[large]:

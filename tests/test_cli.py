@@ -259,17 +259,44 @@ def test_solve_decision_mode(capsys, tmp_path):
 
 
 def test_solve_budget_exit(capsys, tmp_path):
-    from covernum import complete, emit_graph6
+    from covernum import emit_graph6, hypercube
 
-    path = write_graph(tmp_path, emit_graph6(complete(8)))
-    code, _, err = run(capsys, "solve", "--class", "bipartite", path)
+    # unipolar has no upper bound, so a non-member host is swept
+    path = write_graph(tmp_path, emit_graph6(hypercube(4)))  # 32 edges
+    code, _, err = run(capsys, "solve", "--class", "unipolar", path)
+    assert code == 5
+    assert "budget" in err
+    path = write_graph(tmp_path, emit_graph6(hypercube(3)))  # 12 edges
+    code, _, err = run(capsys, "solve", "--class", "unipolar", "--max-edges", "11", path)
     assert code == 5
     assert "budget" in err
     code, data, _ = run_json(
-        capsys, "solve", "--class", "bipartite", "--max-edges", "28", path
+        capsys, "solve", "--class", "unipolar", "--max-edges", "12", path
     )
     assert code == 0
-    assert data["value"] == 3
+    assert data["value"] == 2
+
+
+def test_solve_formula_past_the_edge_budget(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(run(capsys, "gen", "complete:12")[1]))
+    code, data, _ = run_json(capsys, "solve", "--class", "bipartite", "-")
+    assert code == 0
+    assert data["value"] == 4
+    assert data["method"] == "formula"
+    assert (data["family_size"], data["nodes"]) == (0, 0)
+    assert len(data["certificate"]["parts"]) == 4
+
+
+def test_solve_perfect_bounds_past_the_perfection_cap(capsys, tmp_path):
+    from covernum import cycle, emit_graph6
+
+    # C27: both bounds are 2, but witnessing a part perfect meets the cap
+    path = write_graph(tmp_path, emit_graph6(cycle(27)))
+    code, _, err = run(capsys, "solve", "--class", "perfect", path)
+    assert code == 3
+    assert "capacity" in err
 
 
 def test_parse_error_exit(capsys, tmp_path):

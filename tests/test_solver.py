@@ -17,8 +17,10 @@ from covernum import (
     max_class_subgraph_size,
     maximal_class_subgraphs,
     parse_class_spec,
+    parse_family_spec,
     parse_graph6,
     spanning_subgraph,
+    sweep_cover_number,
     unipolar_subgraph_bound,
 )
 from covernum.generators import all_graphs, random_graphs
@@ -144,15 +146,36 @@ def test_decide_cover_negative_k():
 
 
 def test_edge_budget_enforced():
-    g = complete(8)  # 28 edges
+    # unipolar has no upper bound (C6 is bipartite but not unipolar), so a
+    # non-member host always reaches the sweep, which the budget guards
+    spec = parse_class_spec("unipolar")
+    q4 = hypercube(4)  # 32 edges
     with pytest.raises(BudgetError):
-        exact_cover_number(g, parse_class_spec("bipartite"))
+        exact_cover_number(q4, spec)
     with pytest.raises(BudgetError):
-        decide_cover(g, parse_class_spec("bipartite"), 3)
+        decide_cover(q4, spec, 3)
     with pytest.raises(BudgetError):
-        maximal_class_subgraphs(g, parse_class_spec("bipartite"))
-    res = exact_cover_number(g, parse_class_spec("bipartite"), SolveBudget(max_edges=28))
-    assert res.value == 3
+        maximal_class_subgraphs(complete(8), parse_class_spec("bipartite"))
+    q3 = hypercube(3)  # 12 edges
+    with pytest.raises(BudgetError):
+        exact_cover_number(q3, spec, SolveBudget(max_edges=11))
+    res = exact_cover_number(q3, spec, SolveBudget(max_edges=12))
+    assert res.value == 2
+
+
+def test_bounds_settle_hosts_past_the_edge_budget():
+    g = complete(12)  # 66 edges
+    res = exact_cover_number(g, parse_class_spec("bipartite"))
+    assert (res.value, res.stats.method) == (4, "formula")
+    assert check_certificate(g, res.certificate)
+    g = parse_family_spec("far:1,2")  # 27 edges, chi 4, omega 3
+    assert g.edge_count == 27
+    for text in ("perfect", "gsp", "co-unipolar"):
+        res = exact_cover_number(g, parse_class_spec(text))
+        assert (res.value, res.stats.method) == (2, "bounds"), text
+        assert (res.stats.family_size, res.stats.nodes) == (0, 0)
+        assert check_certificate(g, res.certificate)
+        assert len(res.certificate.parts) == 2
 
 
 def test_max_k_cap():
@@ -228,5 +251,29 @@ def test_partition_filter_keeps_only_members():
 
 def test_solver_stats_populated():
     res = exact_cover_number(cycle(5), parse_class_spec("bipartite"))
+    assert res.stats.method == "formula"
+    assert (res.stats.family_size, res.stats.nodes) == (0, 0)
+    res = exact_cover_number(hypercube(3), parse_class_spec("unipolar"))
     assert res.stats.method in ("partition", "subset")
     assert res.stats.family_size > 0
+
+
+def test_bounds_route_matches_sweep():
+    hosts = [g for n in range(6) for g in all_graphs(n)]
+    hosts += random_graphs(6, 40, 61) + random_graphs(7, 40, 67)
+    for g in hosts:
+        for spec in SPECS + [parse_class_spec("chi-le-f:plus:1")]:
+            res = exact_cover_number(g, spec)
+            assert res.value == sweep_cover_number(g, spec).value, (g, str(spec))
+            assert check_certificate(g, res.certificate)
+            assert len(res.certificate.parts) == res.value
+            assert decide_cover(g, spec, res.value) is not None
+            assert decide_cover(g, spec, res.value - 1) is None
+
+
+def test_bounds_fall_back_to_the_sweep_where_they_differ():
+    g = parse_graph6("Fj~mo")  # chi 5, omega 4: bounds 2 and 3
+    for text in ("perfect", "gsp", "co-unipolar"):
+        res = exact_cover_number(g, parse_class_spec(text))
+        assert res.stats.method in ("partition", "subset"), text
+        assert res.value == 2

@@ -113,3 +113,35 @@ def test_failure_reports_carry_instances():
     assert set(report) == {
         "suite", "params", "instances", "failures", "failures_total", "passed",
     }
+
+
+def test_cross_checks_sweep_instead_of_reading_the_formulas(monkeypatch):
+    import covernum.covers
+    import covernum.solver
+    import covernum.verify
+    from covernum.verify import suite_chibound
+
+    calls = {"sweep": 0, "formula": 0}
+    sweep = covernum.verify.sweep_cover_number
+
+    def counted_sweep(*args, **kwargs):
+        calls["sweep"] += 1
+        return sweep(*args, **kwargs)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["formula"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(covernum.verify, "sweep_cover_number", counted_sweep)
+    # the bounds step reaches the formula cover only through the solver's two
+    for mod, name in ((covernum.solver, "digit_layout"), (covernum.solver, "digit_cover"),
+                      (covernum.covers, "formula_cover")):
+        monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    for suite in (suite_chibound, suite_chain):
+        calls.update(sweep=0, formula=0)
+        report = suite(n_max=4)
+        assert report["passed"]
+        assert calls["sweep"] >= report["instances"] > 0
+        assert calls["formula"] == 0
