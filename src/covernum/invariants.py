@@ -180,6 +180,20 @@ def _color_components(n: int, rows: Sequence[int], k: Optional[int] = None) -> O
     return Coloring(tuple(colors), max(colors, default=-1) + 1)
 
 
+def first_fit_colors(n: int, rows: Sequence[int]) -> int:
+    """Colours a first-fit colouring in increasing vertex id uses: a cheap
+    upper bound on chi."""
+    classes: List[int] = []  # vertex mask of each colour
+    for v in range(n):
+        for i, cls in enumerate(classes):
+            if not rows[v] & cls:
+                classes[i] = cls | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
 def chi_of_rows(n: int, rows: Sequence[int]) -> int:
     """Exact chromatic number by deepening k-colorability per component."""
     return _color_components(n, rows).count

@@ -527,12 +527,11 @@ class ClassEntry:
     cover formula and construction all follow from f.  param names the
     ClassSpec field the kind takes.
 
-    The other classes declare where they sit between two colouring
-    classes.  inside_chi_eq_omega: every member has chi = omega, so a cover
-    number is at least that of {chi = omega}, ceil_log(omega, chi).
-    holds_bipartite: every bipartite graph is a member, so a cover number
-    is at most that of bipartite, ceil_log(2, chi), and the bipartite
-    formula cover's parts are members.
+    Every other class lies inside {chi = omega}, so a cover number is at
+    least that of {chi = omega}, ceil_log(omega, chi).  holds_bipartite:
+    every bipartite graph is a member, so a cover number is also at most
+    that of bipartite, ceil_log(2, chi), and the bipartite formula cover's
+    parts are members.
     """
 
     member: Callable[[ClassSpec], MemberFn]
@@ -540,7 +539,6 @@ class ClassEntry:
     check: Callable[[Graph, ClassSpec, Dict], bool]
     f: Optional[Callable[[ClassSpec], Callable[[int], int]]] = None
     param: Optional[str] = None
-    inside_chi_eq_omega: bool = False
     holds_bipartite: bool = False
 
 
@@ -633,9 +631,7 @@ def _flat(k: int) -> Callable[[int], int]:
 # Unipolar and co-unipolar graphs are perfect, so they and gsp have chi =
 # omega; the complement of a bipartite graph is unipolar (two cliques), but
 # C6 is bipartite and not unipolar.
-_UNIPOLAR = ClassEntry(lambda spec: _member_unipolar_rows, _split_witness, _check_split_witness,
-                       inside_chi_eq_omega=True)
-_CHAIN = {"inside_chi_eq_omega": True, "holds_bipartite": True}
+_UNIPOLAR = ClassEntry(lambda spec: _member_unipolar_rows, _split_witness, _check_split_witness)
 
 CLASSES: Dict[str, ClassEntry] = {
     "bipartite": ClassEntry(
@@ -651,11 +647,11 @@ CLASSES: Dict[str, ClassEntry] = {
         lambda spec: _member_perfect_rows,
         lambda g, spec: {} if is_perfect(g)[0] else None,
         lambda g, spec, witness: is_perfect(g)[0],
-        **_CHAIN,
+        holds_bipartite=True,
     ),
     "unipolar": _UNIPOLAR,
-    "co-unipolar": replace(_complement_entry(_UNIPOLAR), **_CHAIN),
-    "gsp": replace(_union_entry("unipolar", "co-unipolar"), **_CHAIN),
+    "co-unipolar": replace(_complement_entry(_UNIPOLAR), holds_bipartite=True),
+    "gsp": replace(_union_entry("unipolar", "co-unipolar"), holds_bipartite=True),
 }
 
 CLASS_KINDS = tuple(CLASSES)

@@ -4,11 +4,13 @@ A host that is a member covers itself with one part.  For any other host
 with an edge the bounds step tries the paper's results before any
 enumeration.  A colouring class {chi <= f(omega)} has the exact cover
 number ceil_log(f(omega), chi), certified by the formula cover (method
-"formula").  Every other class declares in the registry whether its
-members all have chi = omega and whether it holds every bipartite graph;
-its cover number then lies between max(2, ceil_log(omega, chi)) and
-ceil_log(2, chi), and where the two meet the bipartite formula cover's
-parts, re-witnessed for the class, settle it (method "bounds").
+"formula").  Every other class lies inside {chi = omega}, so its cover
+number is at least max(2, ceil_log(omega, chi)); a class that declares in
+the registry that it holds every bipartite graph is also covered by
+ceil_log(2, chi) parts, and where the two bounds meet the bipartite
+formula cover's parts, re-witnessed for the class, settle it (method
+"bounds").  A host whose bounds cannot meet and whose sweep is over the
+edge budget fails before the exact chromatic number is computed.
 
 Otherwise the solver sweeps: any cover part extends to a subgraph that is
 maximal within the class (classes here are not all closed under edge
@@ -41,10 +43,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from .covers import CoverCertificate, digit_cover, digit_layout
 from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows, spanning_subgraph
-from .invariants import ceil_log
+from .invariants import ceil_log, chromatic_number, first_fit_colors, omega_of_rows
 from .recognizers import (
     CLASSES,
-    IDENTITY,
     ClassSpec,
     class_f,
     color_bound,
@@ -189,12 +190,16 @@ def _subset_family(g: Graph, spec: ClassSpec) -> List[int]:
     return maximal
 
 
+def _over_budget(g: Graph, budget: SolveBudget) -> BudgetError:
+    return BudgetError(
+        f"{g.edge_count} edges exceed the enumeration budget of {budget.max_edges}"
+    )
+
+
 def family_maximal_masks(g: Graph, spec: ClassSpec, budget: SolveBudget) -> Tuple[List[int], str]:
     m = g.edge_count
     if m > budget.max_edges:
-        raise BudgetError(
-            f"{m} edges exceed the enumeration budget of {budget.max_edges}"
-        )
+        raise _over_budget(g, budget)
     active = [v for v in range(g.n) if g.rows[v]]
     bound = color_bound(g, spec, len(active))
     if bound is not None and _partitions_upto(len(active), bound) <= (1 << m):
@@ -307,7 +312,7 @@ def _no_member_covers(g: Graph, spec: ClassSpec, j: int) -> ValueError:
 Bounds = Tuple[int, Optional[int], Optional[Callable[[], CoverCertificate]]]
 
 
-def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int]) -> Bounds:
+def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int], budget: SolveBudget) -> Bounds:
     """(lower, upper, cover): lower <= cover number <= upper for g, a host
     with an edge outside the class, and a maker of a cover by upper parts.
     upper is None where no formula bounds the class from above."""
@@ -318,14 +323,24 @@ def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int]) -> Bounds:
             raise _no_member_covers(g, spec, 0)
         value = ceil_log(base, coloring.count)
         return value, value, lambda: digit_cover(g, spec, coloring, base, clique)
-    entry = CLASSES[spec.kind]
-    # without an upper bound, the lower one only answers a capped question
-    if not entry.holds_bipartite and (cap is None or not entry.inside_chi_eq_omega):
+    holds_bipartite = CLASSES[spec.kind].holds_bipartite
+    # the floor of 2 answers k < 2; without an upper bound, the lower one
+    # only answers a capped question
+    if (cap is not None and cap < 2) or (cap is None and not holds_bipartite):
         return 2, None, None
-    coloring, omega, _ = digit_layout(g, IDENTITY)
-    chi = coloring.count
-    lower = max(2, ceil_log(omega, chi)) if entry.inside_chi_eq_omega else 2
-    if not entry.holds_bipartite:
+    omega = omega_of_rows(g.n, g.rows)
+    if g.edge_count > budget.max_edges:
+        # First fit bounds chi, and so the lower bound, from above; the upper
+        # bound is at least ceil_log(2, omega).  Where they cannot meet and
+        # the lower one cannot answer cap, only the sweep could: fail before
+        # the exponential chromatic number.
+        most = max(2, ceil_log(omega, first_fit_colors(g.n, g.rows)))
+        may_meet = holds_bipartite and ceil_log(2, omega) <= most
+        if not may_meet and (cap is None or cap >= most):
+            raise _over_budget(g, budget)
+    chi, coloring = chromatic_number(g)
+    lower = max(2, ceil_log(omega, chi))
+    if not holds_bipartite:
         return lower, None, None
     return lower, ceil_log(2, chi), lambda: digit_cover(g, spec, coloring, 2, ())
 
@@ -349,7 +364,7 @@ def _solve(
         stats.method = "host-member"
         return _certificate(g, spec, [universe])
     if bounded:
-        lower, upper, cover = _bounds(g, spec, cap)
+        lower, upper, cover = _bounds(g, spec, cap, budget)
         if cap is not None and cap < lower:
             return None
         if upper == lower:

@@ -277,6 +277,18 @@ def test_solve_budget_exit(capsys, tmp_path):
     assert data["value"] == 2
 
 
+def test_solve_budget_exit_when_the_bounds_cannot_meet(capsys, tmp_path):
+    from covernum import emit_graph6
+    from covernum.generators import random_graphs
+
+    # 1,009 edges: the sweep is over budget and the bounds cannot meet
+    path = write_graph(tmp_path, emit_graph6(random_graphs(64, 1, 5)[0]))
+    for argv in (("--class", "gsp"), ("--class", "unipolar", "--decision", "3")):
+        code, _, err = run(capsys, "solve", *argv, path)
+        assert code == 5
+        assert "budget" in err
+
+
 def test_solve_formula_past_the_edge_budget(capsys, monkeypatch):
     import io
 

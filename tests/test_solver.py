@@ -163,6 +163,23 @@ def test_edge_budget_enforced():
     assert res.value == 2
 
 
+def test_budget_fails_before_the_chromatic_number(monkeypatch):
+    import covernum.solver
+
+    def no_chi(g):
+        raise AssertionError("exact chromatic number on an over-budget host")
+
+    monkeypatch.setattr(covernum.solver, "chromatic_number", no_chi)
+    g = random_graphs(64, 1, 5)[0]  # 1,009 edges, omega 8: bounds at most 2 and at least 3
+    for text in ("perfect", "gsp", "co-unipolar", "unipolar"):
+        spec = parse_class_spec(text)
+        with pytest.raises(BudgetError):
+            exact_cover_number(g, spec)
+        with pytest.raises(BudgetError):
+            decide_cover(g, spec, 2)
+        assert decide_cover(g, spec, 1) is None
+
+
 def test_bounds_settle_hosts_past_the_edge_budget():
     g = complete(12)  # 66 edges
     res = exact_cover_number(g, parse_class_spec("bipartite"))
