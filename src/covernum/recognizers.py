@@ -11,8 +11,10 @@ of that length, and the graph is searched before its complement.
 Each class is declared once, as an entry of the CLASSES registry; spec
 parsing, membership, witnesses, witness checks and, for the colouring
 classes {chi <= f(omega)}, the function f are all lookups into it.  The
-other classes declare there whether they lie inside {chi = omega} and
-whether they hold every bipartite graph, which bounds their cover numbers.
+other classes lie inside {chi = omega} and declare there whether they hold
+every bipartite graph, which bounds their cover numbers; the split classes
+(unipolar, co-unipolar, gsp) also declare a structural family, which
+builds their maximal members inside a host for the solver.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ from .invariants import (
     clique_number,
     k_colorable_rows,
     omega_of_rows,
+)
+from .structural import (
+    co_unipolar_family,
+    co_unipolar_work,
+    maximal_masks,
+    unipolar_family,
+    unipolar_work,
 )
 
 # is_perfect near the cap, measured on a 2-vCPU Intel Xeon with Python
@@ -516,6 +525,17 @@ def _check_split_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
 # --- the class registry ---
 
 @dataclass(frozen=True)
+class Family:
+    """A structural route to a class's maximal members inside a host g:
+    generate(g) lists their edge masks ascending, as the subset sweep
+    does, and work(g) predicts its steps, which the solver weighs against
+    the subset sweep's 2^m membership tests."""
+
+    generate: Callable[[Graph], List[int]]
+    work: Callable[[Graph], int]
+
+
+@dataclass(frozen=True)
 class ClassEntry:
     """Everything the package needs to know about one class.
 
@@ -531,7 +551,8 @@ class ClassEntry:
     least that of {chi = omega}, ceil_log(omega, chi).  holds_bipartite:
     every bipartite graph is a member, so a cover number is also at most
     that of bipartite, ceil_log(2, chi), and the bipartite formula cover's
-    parts are members.
+    parts are members.  family, where declared, builds the class-maximal
+    members of a host from its structure instead of from edge subsets.
     """
 
     member: Callable[[ClassSpec], MemberFn]
@@ -540,6 +561,7 @@ class ClassEntry:
     f: Optional[Callable[[ClassSpec], Callable[[int], int]]] = None
     param: Optional[str] = None
     holds_bipartite: bool = False
+    family: Optional[Family] = None
 
 
 def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) -> ClassEntry:
@@ -604,7 +626,9 @@ def _complement_entry(base: ClassEntry) -> ClassEntry:
 
 def _union_entry(first: str, second: str) -> ClassEntry:
     """Graphs in either registered class; the witness names the branch
-    that holds, trying first before second."""
+    that holds, trying first before second.  Both classes must declare a
+    family: the union's maximal members are the inclusion-maximal ones of
+    both families together."""
 
     def member(spec: ClassSpec) -> MemberFn:
         a, b = CLASSES[first].member(spec), CLASSES[second].member(spec)
@@ -621,7 +645,14 @@ def _union_entry(first: str, second: str) -> ClassEntry:
         kind = witness.get("branch")
         return kind in (first, second) and CLASSES[kind].check(g, spec, witness)
 
-    return ClassEntry(member, witness, check)
+    def families() -> Tuple[Family, ...]:
+        return tuple(CLASSES[kind].family for kind in (first, second))
+
+    family = Family(
+        lambda g: maximal_masks(mask for part in families() for mask in part.generate(g)),
+        lambda g: sum(part.work(g) for part in families()),
+    )
+    return ClassEntry(member, witness, check, family=family)
 
 
 def _flat(k: int) -> Callable[[int], int]:
@@ -631,7 +662,10 @@ def _flat(k: int) -> Callable[[int], int]:
 # Unipolar and co-unipolar graphs are perfect, so they and gsp have chi =
 # omega; the complement of a bipartite graph is unipolar (two cliques), but
 # C6 is bipartite and not unipolar.
-_UNIPOLAR = ClassEntry(lambda spec: _member_unipolar_rows, _split_witness, _check_split_witness)
+_UNIPOLAR = ClassEntry(
+    lambda spec: _member_unipolar_rows, _split_witness, _check_split_witness,
+    family=Family(unipolar_family, unipolar_work),
+)
 
 CLASSES: Dict[str, ClassEntry] = {
     "bipartite": ClassEntry(
@@ -650,7 +684,10 @@ CLASSES: Dict[str, ClassEntry] = {
         holds_bipartite=True,
     ),
     "unipolar": _UNIPOLAR,
-    "co-unipolar": replace(_complement_entry(_UNIPOLAR), holds_bipartite=True),
+    "co-unipolar": replace(
+        _complement_entry(_UNIPOLAR), holds_bipartite=True,
+        family=Family(co_unipolar_family, co_unipolar_work),
+    ),
     "gsp": replace(_union_entry("unipolar", "co-unipolar"), holds_bipartite=True),
 }
 

@@ -21,25 +21,32 @@ bound settles quickly at desk scale.  The edge budget guards only this
 sweep.  `sweep_cover_number` skips the bounds step, so the verify suites
 compare the sweep with the formulas.
 
-Two family generators, both exact:
+Three family generators, all exact:
 
-* subset sweep: test every edge subset (gray-code incremental adjacency),
-  then mark subsets with a member superset by a downward DP.  Cost 2^m.
-* partition sweep, for the coloring-bounded classes (bipartite, chi-le,
+* subset sweep, for every class: test every edge subset (gray-code
+  incremental adjacency), then mark subsets with a member superset by a
+  downward DP.  Predicted work 2^m membership tests.
+* partition sweep, for the colouring classes (bipartite, chi-le,
   chi-le-f, chi-eq-omega): a maximal member M with color bound b carries
   a proper coloring c with at most b colors, and the bichromatic edge
   set of c is a member containing M, hence equal to M.  So maximal
   members all arise as bichromatic sets of vertex partitions into at
   most f(omega(G)) blocks, of which there are far fewer than 2^m on
-  dense graphs.
+  dense graphs.  Predicted work: the number of those partitions.
+* structural, for the classes whose registry entry declares a family
+  (unipolar, co-unipolar, and gsp as their union): the maximal members
+  are built from cliques and vertex sets of the host (see
+  covernum.structural), and the entry predicts the work.
 
-Whichever is predicted cheaper runs; results agree (tested).
+Each route a class has predicts its work on the host, and the cheapest
+prediction runs, the earlier route in the list above winning ties; the
+edge budget gates every route alike.  The generators agree (tested).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .covers import CoverCertificate, digit_cover, digit_layout
 from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows, spanning_subgraph
@@ -52,6 +59,7 @@ from .recognizers import (
     in_class,
     membership_fn,
 )
+from .structural import cliques, incident_edges, maximal_masks
 
 
 class BudgetError(RuntimeError):
@@ -130,17 +138,7 @@ def _partition_family(
     if class_f(spec)(1) < bound:
         member = membership_fn(spec)
         masks = {mask for mask in masks if member(g.n, mask_rows(g, mask))}
-    return _inclusion_maximal(list(masks))
-
-
-def _inclusion_maximal(masks: Sequence[int]) -> List[int]:
-    uniq = sorted(set(masks), key=lambda s: (-s.bit_count(), s))
-    keep: List[int] = []
-    for s in uniq:
-        if not any(s & ~t == 0 for t in keep if t != s):
-            keep.append(s)
-    keep.sort()
-    return keep
+    return maximal_masks(masks)
 
 
 def _subset_family(g: Graph, spec: ClassSpec) -> List[int]:
@@ -196,15 +194,30 @@ def _over_budget(g: Graph, budget: SolveBudget) -> BudgetError:
     )
 
 
-def family_maximal_masks(g: Graph, spec: ClassSpec, budget: SolveBudget) -> Tuple[List[int], str]:
-    m = g.edge_count
-    if m > budget.max_edges:
-        raise _over_budget(g, budget)
+def _cheapest_route(g: Graph, spec: ClassSpec) -> Tuple[str, Callable[[], List[int]]]:
+    """(method, generator) of the class's route with the least predicted
+    work on g; ties go to the earlier of partition, structural, subset."""
     active = [v for v in range(g.n) if g.rows[v]]
+    routes: List[Tuple[int, str, Callable[[], List[int]]]] = []
     bound = color_bound(g, spec, len(active))
-    if bound is not None and _partitions_upto(len(active), bound) <= (1 << m):
-        return _partition_family(g, spec, bound, active), "partition"
-    return _subset_family(g, spec), "subset"
+    if bound is not None:
+        routes.append((_partitions_upto(len(active), bound), "partition",
+                       lambda: _partition_family(g, spec, bound, active)))
+    family = CLASSES[spec.kind].family
+    if family is not None:
+        routes.append((family.work(g), "structural", lambda: family.generate(g)))
+    routes.append((1 << g.edge_count, "subset", lambda: _subset_family(g, spec)))
+    _, method, generate = min(routes, key=lambda route: route[0])
+    return method, generate
+
+
+def family_maximal_masks(g: Graph, spec: ClassSpec, budget: SolveBudget) -> Tuple[List[int], str]:
+    """The class-maximal edge masks of g, ascending, and the method of the
+    route that built them."""
+    if g.edge_count > budget.max_edges:
+        raise _over_budget(g, budget)
+    method, generate = _cheapest_route(g, spec)
+    return generate(), method
 
 
 def maximal_class_subgraphs(
@@ -428,21 +441,11 @@ def max_class_subgraph_size(
     return max((mask.bit_count() for mask in family), default=0)
 
 
-def _cliques(rows: Sequence[int], cur: int, cand: int) -> Iterator[int]:
-    """The clique cur and every clique extending it inside cand, where
-    cand holds only common neighbours of cur."""
-    yield cur
-    m = cand
-    while m:
-        u = (m & -m).bit_length() - 1
-        m &= m - 1
-        yield from _cliques(rows, cur | (1 << u), m & rows[u])
-
-
 def _max_unipolar_edges(g: Graph) -> int:
     if g.n > 16:
         raise BudgetError("unipolar subgraph fallback limited to 16 vertices")
     n, rows = g.n, g.rows
+    inc = incident_edges(g)
     full = (1 << n) - 1
     memo: Dict[int, int] = {0: 0}
 
@@ -451,23 +454,15 @@ def _max_unipolar_edges(g: Graph) -> int:
         got = memo.get(sub)
         if got is not None:
             return got
-        best = 0
         low = sub & -sub  # the cluster holding sub's lowest vertex
-        for q in _cliques(rows, low, rows[low.bit_length() - 1] & sub):
-            size = q.bit_count()
-            best = max(best, size * (size - 1) // 2 + cluster_dp(sub & ~q))
+        v = low.bit_length() - 1
+        best = max(
+            inside.bit_count() + cluster_dp(sub & ~q)
+            for q, _, inside in cliques(rows, inc, low, rows[v] & sub, inc[v])
+        )
         memo[sub] = best
         return best
 
-    best = 0
-    for a in _cliques(rows, 0, full):
-        size = a.bit_count()
-        rest = full & ~a
-        cross = 0
-        m = a
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            cross += (rows[v] & rest).bit_count()
-        best = max(best, size * (size - 1) // 2 + cross + cluster_dp(rest))
-    return best
+    return max(
+        touch.bit_count() + cluster_dp(full & ~a) for a, touch, _ in cliques(rows, inc, 0, full)
+    )

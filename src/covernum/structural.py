@@ -1,0 +1,234 @@
+"""Class-maximal edge sets built from a class's structure.
+
+The solver needs every edge subset of a host G that is maximal within a
+class.  Testing all 2^m subsets finds them for any class; for the split
+classes the structure of a member names them directly, at a cost that
+depends on the vertices and cliques of G rather than on m.  Both
+generators below work on the non-isolated vertices of G only and return
+the masks ascending, as the subset sweep does.
+
+* unipolar: a member is a clique A plus a disjoint union of cliques on
+  the rest, so it lies inside the edge set that keeps every G-edge
+  touching A and every G-edge inside a block of a partition of V - A into
+  cliques of G, and that edge set is a member.  Growing A by a vertex
+  adjacent to all of it only adds edges, so A ranges over the maximal
+  cliques of G; the maximal cluster edge sets of each remaining vertex set
+  are memoised.
+* co-unipolar: the complement of a member is unipolar, so a member is an
+  independent set A plus a complete multipartite graph on the rest.  Its
+  parts must hold every non-edge of G between rest vertices, so the
+  finest parts are the components of complement(G)[V - A], and each A
+  fixes one maximal candidate: the G-edges between A and the rest and
+  those between different components.  Every vertex set is a candidate A.
+
+`maximal_masks` is the one sink: the inclusion-maximal masks of a list,
+found through an inverted index from each edge to the kept masks that
+hold it.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+from .graphs import Graph, edge_index
+
+
+def maximal_masks(masks: Iterable[int]) -> List[int]:
+    """The inclusion-maximal masks among masks, ascending, each once.
+
+    Masks are visited by falling size, so a mask has a proper superset
+    exactly when some kept mask holds all its bits; holders[j] marks, one
+    bit per kept mask, the kept masks that hold bit j.
+    """
+    uniq = sorted(set(masks), key=lambda s: (-s.bit_count(), s))
+    holders = [0] * max((s.bit_length() for s in uniq), default=0)
+    keep: List[int] = []
+    kept = 0  # one bit per kept mask
+    for s in uniq:
+        over = kept
+        m = s
+        while m and over:
+            b = m & -m
+            m ^= b
+            over &= holders[b.bit_length() - 1]
+        if over:
+            continue
+        bit = 1 << len(keep)
+        keep.append(s)
+        kept |= bit
+        m = s
+        while m:
+            b = m & -m
+            m ^= b
+            holders[b.bit_length() - 1] |= bit
+    keep.sort()
+    return keep
+
+
+def incident_edges(g: Graph) -> List[int]:
+    """inc[v]: the edge ids of g at v, as a mask over edge_index(g)."""
+    inc = [0] * g.n
+    for j, (u, v) in enumerate(edge_index(g)):
+        inc[u] |= 1 << j
+        inc[v] |= 1 << j
+    return inc
+
+
+def cliques(rows: Sequence[int], inc: Sequence[int], cur: int, cand: int,
+            touch: int = 0, inside: int = 0) -> Iterator[Tuple[int, int, int]]:
+    """(clique, edges touching it, edges inside it) for the clique cur and
+    every clique extending it inside cand, where cand holds only common
+    neighbours of cur and touch, inside are cur's edge masks."""
+    yield cur, touch, inside
+    m = cand
+    while m:
+        b = m & -m
+        m ^= b
+        u = b.bit_length() - 1
+        yield from cliques(rows, inc, cur | b, m & rows[u], touch | inc[u],
+                           inside | (inc[u] & touch))
+
+
+def _active(g: Graph) -> int:
+    active = 0
+    for row in g.rows:
+        active |= row
+    return active
+
+
+def _bfs_rows(g: Graph) -> Tuple[List[int], List[int]]:
+    """(rows, inc) of g's non-isolated vertices relabelled 0, 1, ... in
+    breadth-first order, one component after another, with inc still
+    over g's edge ids.  A vertex's neighbours then lie close to it in the
+    order, which keeps the cluster recursion's vertex sets few."""
+    order: List[int] = []
+    seen = 0
+    for s in range(g.n):
+        if not g.rows[s] or seen >> s & 1:
+            continue
+        seen |= 1 << s
+        order.append(s)
+        i = len(order) - 1
+        while i < len(order):
+            fresh = g.rows[order[i]] & ~seen
+            seen |= fresh
+            while fresh:
+                b = fresh & -fresh
+                fresh ^= b
+                order.append(b.bit_length() - 1)
+            i += 1
+    pos = {v: i for i, v in enumerate(order)}
+    rows = []
+    for v in order:
+        row = 0
+        m = g.rows[v]
+        while m:
+            b = m & -m
+            m ^= b
+            row |= 1 << pos[b.bit_length() - 1]
+        rows.append(row)
+    inc = incident_edges(g)
+    return rows, [inc[v] for v in order]
+
+
+def _clique_sides(rows: Sequence[int], inc: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """(clique, edges touching it) for every maximal clique of a graph
+    without isolated vertices."""
+    everyone = (1 << len(rows)) - 1
+    for a, touch, _ in cliques(rows, inc, 0, everyone):
+        common = everyone & ~a
+        m = a
+        while m and common:
+            b = m & -m
+            m ^= b
+            common &= rows[b.bit_length() - 1]
+        if not common:
+            yield a, touch
+
+
+def unipolar_family(g: Graph) -> List[int]:
+    """The unipolar-maximal edge sets of g, ascending."""
+    rows, inc = _bfs_rows(g)
+    memo: Dict[int, List[int]] = {0: [0]}
+
+    def clusters(rest: int) -> List[int]:
+        """Maximal edge sets of disjoint unions of cliques inside G[rest]."""
+        got = memo.get(rest)
+        if got is None:
+            low = rest & -rest  # the block holding rest's least vertex
+            v = low.bit_length() - 1
+            got = memo[rest] = maximal_masks(
+                inside | c
+                for q, _, inside in cliques(rows, inc, low, rows[v] & rest, inc[v])
+                for c in clusters(rest & ~q)
+            )
+        return got
+
+    everyone = (1 << len(rows)) - 1
+    return maximal_masks(
+        touch | c for a, touch in _clique_sides(rows, inc) for c in clusters(everyone & ~a)
+    )
+
+
+def unipolar_work(g: Graph) -> int:
+    """Predicted work of unipolar_family: a bound on the vertex sets its
+    cluster recursion visits.  Below a clique side, a visited set with
+    least vertex t lacks, above t, only vertices that blocks led from
+    below t took, and those are neighbours of vertices below t; so each
+    clique side leads to at most the sum over t of 2^|N(below t) above t|
+    sets."""
+    rows, inc = _bfs_rows(g)
+    sets = 0
+    reach = 0  # neighbours of the vertices below t
+    for t, row in enumerate(rows):
+        sets += 1 << (reach >> (t + 1)).bit_count()
+        reach |= row
+    return sets * sum(1 for _ in _clique_sides(rows, inc))
+
+
+def co_unipolar_family(g: Graph) -> List[int]:
+    """The co-unipolar-maximal edge sets of g, ascending."""
+    inc = incident_edges(g)
+    active = _active(g)
+    co = [~row & active & ~(1 << v) for v, row in enumerate(g.rows)]
+    candidates: List[int] = []
+    a = active
+    while True:
+        touch_a = 0
+        m = a
+        while m:
+            b = m & -m
+            m ^= b
+            touch_a |= inc[b.bit_length() - 1]
+        # once: edges touching the rest; twice: edges between two
+        # components of complement(G)[rest]
+        once = twice = 0
+        left = active & ~a
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                nxt = 0
+                while frontier:
+                    b = frontier & -frontier
+                    frontier ^= b
+                    nxt |= co[b.bit_length() - 1]
+                frontier = nxt & left & ~comp
+                comp |= frontier
+            left &= ~comp
+            touch = 0
+            while comp:
+                b = comp & -comp
+                comp ^= b
+                touch |= inc[b.bit_length() - 1]
+            twice |= once & touch
+            once |= touch
+        candidates.append(touch_a & once | twice)
+        if not a:
+            break
+        a = (a - 1) & active
+    return maximal_masks(candidates)
+
+
+def co_unipolar_work(g: Graph) -> int:
+    """Predicted work of co_unipolar_family: one candidate per vertex set."""
+    return 1 << _active(g).bit_count()

@@ -255,6 +255,66 @@ def test_partition_and_subset_routes_agree():
             assert via_partitions == via_subsets, (g, str(spec))
 
 
+def _split_class_hosts():
+    """Every graph on up to 6 vertices up to isomorphism, then random 7-
+    and 8-vertex hosts whose 5 or 6 non-isolated vertices sit among
+    isolated ones."""
+    import random
+
+    import networkx as nx
+
+    hosts = [make_graph(a.number_of_nodes(), a.edges())
+             for a in nx.graph_atlas_g() if a.number_of_nodes() <= 6]
+    rng = random.Random(71)
+    for n, k in ((7, 5), (8, 5), (8, 6)):
+        for g in random_graphs(k, 8, 73 + n + k):
+            place = rng.sample(range(n), k)
+            hosts.append(make_graph(n, [(place[u], place[v]) for u, v in g.edges()]))
+    return hosts
+
+
+def test_structural_and_subset_routes_agree():
+    # the structural families list exactly the subset sweep's masks, in order
+    from covernum.recognizers import CLASSES
+    from covernum.solver import _subset_family
+
+    hosts = _split_class_hosts()
+    assert sum(1 for g in hosts if g.n > 6 and not all(g.rows)) == 24
+    for text in ("unipolar", "co-unipolar", "gsp"):
+        spec = parse_class_spec(text)
+        family = CLASSES[text].family
+        for g in hosts:
+            assert family.generate(g) == _subset_family(g, spec), (g, text)
+
+
+def test_inclusion_maximal_sink():
+    from covernum.structural import maximal_masks
+
+    assert maximal_masks([]) == []
+    assert maximal_masks([0, 0]) == [0]
+    assert maximal_masks([0b011, 0b001, 0b110, 0b011, 0b100, 0]) == [0b011, 0b110]
+    masks = [(i * 2654435761) % (1 << 12) for i in range(300)]
+    expected = sorted({s for s in masks if not any(s != t and s & t == s for t in masks)})
+    assert maximal_masks(masks) == expected
+
+
+def test_route_choice_follows_predicted_work():
+    import random
+
+    from covernum.solver import _cheapest_route
+
+    res = exact_cover_number(parse_graph6("GzcQlw"), parse_class_spec("unipolar"))
+    assert (res.value, res.stats.method) == (2, "structural")
+    # co-unipolar costs 2^(non-isolated vertices): 15 random edges on 64
+    # vertices touch far more than 15 vertices, so the sweep is cheaper
+    pairs = random.Random(79).sample(list(combinations(range(64), 2)), 15)
+    sparse = make_graph(64, pairs)
+    assert sum(1 for row in sparse.rows if row) > 15
+    for text in ("co-unipolar", "gsp"):
+        assert _cheapest_route(sparse, parse_class_spec(text))[0] == "subset", text
+    assert _cheapest_route(sparse, parse_class_spec("unipolar"))[0] == "structural"
+
+
 def test_partition_filter_keeps_only_members():
     # Fj~mo (chi 5, omega 4): one partition candidate is a 15-edge
     # non-member (chi 4, omega 3), so the membership filter is needed
@@ -271,7 +331,7 @@ def test_solver_stats_populated():
     assert res.stats.method == "formula"
     assert (res.stats.family_size, res.stats.nodes) == (0, 0)
     res = exact_cover_number(hypercube(3), parse_class_spec("unipolar"))
-    assert res.stats.method in ("partition", "subset")
+    assert res.stats.method == "structural"
     assert res.stats.family_size > 0
 
 
@@ -290,7 +350,8 @@ def test_bounds_route_matches_sweep():
 
 def test_bounds_fall_back_to_the_sweep_where_they_differ():
     g = parse_graph6("Fj~mo")  # chi 5, omega 4: bounds 2 and 3
-    for text in ("perfect", "gsp", "co-unipolar"):
+    for text, method in (("perfect", "subset"), ("gsp", "structural"),
+                         ("co-unipolar", "structural")):
         res = exact_cover_number(g, parse_class_spec(text))
-        assert res.stats.method in ("partition", "subset"), text
+        assert res.stats.method == method, text
         assert res.value == 2
