@@ -7,9 +7,9 @@ garbage are errors, not warnings.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from .graphs import MAX_VERTICES, CapacityError, Graph, make_graph
+from .graphs import MAX_VERTICES, CapacityError, Graph, make_graph, symmetric_closure
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -18,14 +18,9 @@ class ParseError(ValueError):
     """Malformed serialized graph."""
 
 
-def _g6_bytes(data: str) -> List[int]:
-    vals = []
-    for ch in data:
-        b = ord(ch) - 63
-        if not 0 <= b < 64:
-            raise ParseError(f"graph6 byte {ord(ch)} outside printable range 63..126")
-        vals.append(b)
-    return vals
+# graph6 character -> its six bits, most significant first
+_G6_BITS = {63 + b: format(b, "06b") for b in range(64)}
+_G6_CHARS = {bits: chr(code) for code, bits in _G6_BITS.items()}
 
 
 def parse_graph6(text: str) -> Graph:
@@ -35,42 +30,40 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise ParseError("empty graph6 string")
-    vals = _g6_bytes(s)
-    if vals[0] == 63:
+    bits = s.translate(_G6_BITS)
+    if len(bits) != 6 * len(s):  # a character outside 63..126 stayed as it was
+        bad = next(ch for ch in s if not 63 <= ord(ch) <= 126)
+        raise ParseError(f"graph6 byte {ord(bad)} outside printable range 63..126")
+    if s[0] == "~":
         # long form: '~' then 18 bits of n in 3 bytes
-        if len(vals) < 4:
+        if len(s) < 4:
             raise ParseError("truncated graph6 vertex count")
-        if vals[1] == 63:
+        if s[1] == "~":
             raise ParseError("graph6 very long form exceeds the 64 vertex limit")
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        body = vals[4:]
+        n = int(bits[6:24], 2)
+        body = bits[24:]
     else:
-        n = vals[0]
-        body = vals[1:]
+        n = ord(s[0]) - 63
+        body = bits[6:]
     if n > MAX_VERTICES:
         raise CapacityError(f"graph6 vertex count {n} exceeds {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(body) < nbytes:
+    if len(body) < 6 * nbytes:
         raise ParseError("truncated graph6 bit field")
-    if len(body) > nbytes:
+    if len(body) > 6 * nbytes:
         raise ParseError("trailing garbage after graph6 bit field")
-    bits = 0
-    for b in body:
-        bits = bits << 6 | b
-    pad = nbytes * 6 - nbits
-    if bits & ((1 << pad) - 1):
+    if "1" in body[nbits:]:
         raise ParseError("nonzero padding bits in graph6 bit field")
-    bits >>= pad
-    edges = []
-    # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
-    pos = nbits - 1
+    # Column v is x(0,v) .. x(v-1,v): row v's lower half.  Reversed, the
+    # field is one int whose bit start_v + u is x(u,v).
+    field = int(body[nbits - 1::-1], 2) if nbits else 0
+    lower = [0] * n
+    start = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits >> pos & 1:
-                edges.append((u, v))
-            pos -= 1
-    return make_graph(n, edges)
+        lower[v] = field >> start & ((1 << v) - 1)
+        start += v
+    return Graph(n, symmetric_closure(n, lower))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -80,17 +73,15 @@ def emit_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + chr((n >> 12) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
-    bits = 0
-    nbits = n * (n - 1) // 2
+    # The field as one int, bit start_v + u = x(u,v) (see parse_graph6).
+    field = 0
+    start = 0
     for v in range(1, n):
-        for u in range(v):
-            bits = bits << 1 | (g.rows[u] >> v & 1)
-    pad = (6 - nbits % 6) % 6
-    bits <<= pad
-    body = []
-    for i in range((nbits + pad) // 6 - 1, -1, -1):
-        body.append(chr((bits >> (6 * i) & 63) + 63))
-    return head + "".join(body)
+        field |= (g.rows[v] & ((1 << v) - 1)) << start
+        start += v
+    body = format(field, f"0{start}b")[::-1] if start else ""
+    body += "0" * (-start % 6)
+    return head + "".join([_G6_CHARS[body[i:i + 6]] for i in range(0, len(body), 6)])
 
 
 def parse_edge_list(text: str) -> Graph:

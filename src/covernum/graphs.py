@@ -7,6 +7,8 @@ Graphs are immutable values: hashable, usable as cache keys, safe to share.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
@@ -14,6 +16,75 @@ from typing import Iterable, List, Sequence, Tuple
 MAX_VERTICES = 64
 
 Edge = Tuple[int, int]
+
+
+class _BitMatrix:
+    """Square 0/1 matrices of side w packed into one int, row r in bits
+    r*w .. r*w+w-1, so that a check or a transpose over all rows is a few
+    big-int operations instead of a loop over vertices."""
+
+    def __init__(self, w: int) -> None:
+        self.w = w
+        self.code = next(c for c in "BHILQ" if array(c).itemsize * 8 == w)
+        self.diagonal = sum(1 << (r * w + r) for r in range(w))
+        self.row_starts = sum(1 << (r * w) for r in range(w))
+        # Transpose by block swaps: at level j, entry (r, c) with bit j
+        # clear in r and set in c trades places with (r + j, c - j).
+        self.swaps = []
+        j = w // 2
+        while j:
+            cols = sum(1 << c for c in range(w) if c & j)
+            starts = sum(1 << (r * w) for r in range(w) if not r & j)
+            self.swaps.append((j * (w - 1), cols * starts))
+            j //= 2
+
+    def pack(self, rows: Sequence[int]) -> int:
+        """Raises OverflowError or TypeError unless every row is an int in
+        0..2^w-1."""
+        a = array(self.code, rows)
+        if sys.byteorder == "big":
+            a.byteswap()
+        return int.from_bytes(a.tobytes(), "little")
+
+    def unpack(self, n: int, m: int) -> Tuple[int, ...]:
+        a = array(self.code, m.to_bytes(n * self.w // 8, "little"))
+        if sys.byteorder == "big":
+            a.byteswap()
+        return tuple(a)
+
+    def transpose(self, m: int) -> int:
+        for shift, mask in self.swaps:
+            t = (m ^ m >> shift) & mask
+            m ^= t ^ t << shift
+        return m
+
+
+_MATRICES = tuple(_BitMatrix(w) for w in (8, 16, 32, 64))
+
+# Up to this many vertices a loop over the rows is at least as fast as
+# packing them (Graph's check, symmetric_closure).
+_LOOP_MAX = 7
+
+
+def _bit_matrix(n: int) -> _BitMatrix:
+    """The packed-matrix layout with the narrowest row stride >= n."""
+    return _MATRICES[(max(n, 8) - 1).bit_length() - 3]
+
+
+def symmetric_closure(n: int, rows: Sequence[int]) -> Tuple[int, ...]:
+    """rows[v] | (column v of rows): the adjacency of the undirected graph
+    whose arcs are given, e.g. lower triangles only."""
+    if n <= _LOOP_MAX:
+        out = list(rows)
+        for v, row in enumerate(rows):
+            while row:
+                low = row & -row
+                row ^= low
+                out[low.bit_length() - 1] |= 1 << v
+        return tuple(out)
+    mat = _bit_matrix(n)
+    m = mat.pack(rows)
+    return mat.unpack(n, m | mat.transpose(m))
 
 
 class CapacityError(ValueError):
@@ -32,10 +103,33 @@ class Graph:
     rows: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise CapacityError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        if len(self.rows) != self.n:
+        n = self.n
+        if not 0 <= n <= MAX_VERTICES:
+            raise CapacityError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        rows = self.rows
+        if type(rows) is not tuple:
+            rows = tuple(rows)
+            object.__setattr__(self, "rows", rows)
+        if len(rows) != n:
             raise ValueError("row count does not match vertex count")
+        if n <= _LOOP_MAX:
+            self._check_rows()
+            return
+        # Packed: no bit at or past column n, none on the diagonal, and
+        # the matrix equals its transpose.  Rows that fail it, or do not
+        # pack, go to the per-row loop, which names the first bad row or
+        # edge.
+        mat = _bit_matrix(n)
+        try:
+            m = mat.pack(rows)
+        except (OverflowError, TypeError):
+            self._check_rows()
+            return
+        if m & (mat.diagonal | mat.row_starts * ((1 << mat.w) - (1 << n))) \
+                or m != mat.transpose(m):
+            self._check_rows()
+
+    def _check_rows(self) -> None:
         full = (1 << self.n) - 1
         for v, row in enumerate(self.rows):
             if row & ~full:
@@ -54,7 +148,7 @@ class Graph:
         return bool(self.rows[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self.rows[v]).count("1")
+        return self.rows[v].bit_count()
 
     def edges(self) -> List[Edge]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
@@ -69,7 +163,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(bin(r).count("1") for r in self.rows) // 2
+        return sum(r.bit_count() for r in self.rows) // 2
 
 
 def make_graph(n: int, edges: Iterable[Edge]) -> Graph:
@@ -152,7 +246,7 @@ class EdgeSet:
     __and__ = intersection
 
     def __len__(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     def edges(self) -> List[Edge]:
         idx = edge_index(self.host)

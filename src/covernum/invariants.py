@@ -89,49 +89,52 @@ def k_colorable_rows(n: int, rows: Sequence[int], k: int) -> Optional[List[int]]
         return []
     if k <= 0:
         return None
-    if all(r == 0 for r in rows):
+    if not any(rows):
         return [0] * n
-    degs = [rows[v].bit_count() for v in range(n)]
     colors = [-1] * n
-    ncm = [0] * n  # bitmask of colors already on the neighbourhood
+    # has[c]: the vertices that were uncolored when a neighbor took color
+    # c.  key[v] = saturation * n + degree (degree < n, so keys order as
+    # (saturation, degree)) follows has[] as it grows and shrinks, and is
+    # -1 while v is colored; max() takes the first best key, so ties go
+    # to the lower id.
+    has = [0] * min(k, n)
+    key = [r.bit_count() for r in rows]
+    key_of = key.__getitem__
+    order = range(n)
 
-    def pick() -> int:
-        best = -1
-        best_key = (-1, -1)
-        for v in range(n):
-            if colors[v] < 0:
-                key = (ncm[v].bit_count(), degs[v])
-                if key > best_key:
-                    best_key = key
-                    best = v
-        return best
-
-    def dfs(done: int, used: int) -> bool:
-        if done == n:
+    def dfs(uncolored: int, used: int) -> bool:
+        if not uncolored:
             return True
-        v = pick()
-        avail = ~ncm[v] & ((1 << min(used + 1, k)) - 1)
-        while avail:
-            c = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
+        v = max(order, key=key_of)
+        kv = key[v]
+        key[v] = -1
+        vbit = 1 << v
+        rest = uncolored ^ vbit
+        for c in range(min(used + 1, k)):
+            hc = has[c]
+            if hc & vbit:
+                continue
             colors[v] = c
-            bit = 1 << c
-            changed = []
-            m = rows[v]
+            new = rows[v] & rest & ~hc
+            has[c] = hc | new
+            m = new
             while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if colors[u] < 0 and not ncm[u] & bit:
-                    ncm[u] |= bit
-                    changed.append(u)
-            if dfs(done + 1, max(used, c + 1)):
+                low = m & -m
+                m ^= low
+                key[low.bit_length() - 1] += n
+            if dfs(rest, max(used, c + 1)):
                 return True
-            for u in changed:
-                ncm[u] &= ~bit
-            colors[v] = -1
+            has[c] = hc
+            m = new
+            while m:
+                low = m & -m
+                m ^= low
+                key[low.bit_length() - 1] -= n
+        colors[v] = -1
+        key[v] = kv
         return False
 
-    if dfs(0, 0):
+    if dfs((1 << n) - 1, 0):
         return colors
     return None
 

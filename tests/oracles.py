@@ -1,15 +1,18 @@
 """Naive reference implementations used to cross-check the fast code.
 
-Everything here trades speed for obvious correctness: full subset sweeps,
-full assignment sweeps, no pruning.  Keep these dumb.
+Most of these trade speed for obvious correctness: full subset sweeps,
+full assignment sweeps, no pruning.  Keep these dumb.  The naive_*
+graph6 decoder, row validator and DSATUR search are the one-bit-at-a-time
+versions the packed and incremental code replaced, kept as references for
+identical results and messages.
 """
 
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Tuple
 
-from covernum import Graph, make_graph
-from covernum.graphs import induced_rows
+from covernum import CapacityError, Graph, ParseError, make_graph
+from covernum.graphs import MAX_VERTICES, induced_rows
 from covernum.invariants import chi_of_rows, omega_of_rows
 from covernum.recognizers import cluster_components
 
@@ -98,3 +101,136 @@ def _connected(rows, combo) -> bool:
 
 def subgraph_of(g: Graph, edge_subset) -> Graph:
     return make_graph(g.n, list(edge_subset))
+
+
+def gnp_graph(rng, n: int, p: float) -> Graph:
+    """Random graph on n vertices, each pair an edge with chance p."""
+    return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+
+
+def naive_check_rows(n: int, rows) -> None:
+    """Graph's validation one row and one edge at a time: raises what
+    Graph(n, rows) must raise on bad rows, with the same message."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise CapacityError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    if len(rows) != n:
+        raise ValueError("row count does not match vertex count")
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise ValueError(f"row {v} references vertices >= {n}")
+        if row >> v & 1:
+            raise ValueError(f"self loop at vertex {v}")
+    for v, row in enumerate(rows):
+        m = row
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            if not rows[u] >> v & 1:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+
+def naive_parse_graph6(text: str) -> Graph:
+    """graph6 decoded into an edge list, one bit at a time."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise ParseError("empty graph6 string")
+    vals = []
+    for ch in s:
+        b = ord(ch) - 63
+        if not 0 <= b < 64:
+            raise ParseError(f"graph6 byte {ord(ch)} outside printable range 63..126")
+        vals.append(b)
+    if vals[0] == 63:
+        if len(vals) < 4:
+            raise ParseError("truncated graph6 vertex count")
+        if vals[1] == 63:
+            raise ParseError("graph6 very long form exceeds the 64 vertex limit")
+        n = vals[1] << 12 | vals[2] << 6 | vals[3]
+        body = vals[4:]
+    else:
+        n = vals[0]
+        body = vals[1:]
+    if n > MAX_VERTICES:
+        raise CapacityError(f"graph6 vertex count {n} exceeds {MAX_VERTICES}")
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(body) < nbytes:
+        raise ParseError("truncated graph6 bit field")
+    if len(body) > nbytes:
+        raise ParseError("trailing garbage after graph6 bit field")
+    bits = 0
+    for b in body:
+        bits = bits << 6 | b
+    pad = nbytes * 6 - nbits
+    if bits & ((1 << pad) - 1):
+        raise ParseError("nonzero padding bits in graph6 bit field")
+    bits >>= pad
+    edges = []
+    # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
+    pos = nbits - 1
+    for v in range(1, n):
+        for u in range(v):
+            if bits >> pos & 1:
+                edges.append((u, v))
+            pos -= 1
+    return make_graph(n, edges)
+
+
+def naive_k_colorable_rows(n: int, rows, k: int):
+    """DSATUR backtracking that rescans every uncolored vertex's
+    saturation at each step: most saturated first (ties: higher degree,
+    then lower id), colors in increasing order, a fresh color only as the
+    next unused index."""
+    if n == 0:
+        return []
+    if k <= 0:
+        return None
+    if all(r == 0 for r in rows):
+        return [0] * n
+    degs = [rows[v].bit_count() for v in range(n)]
+    colors = [-1] * n
+    ncm = [0] * n  # bitmask of colors already on the neighbourhood
+
+    def pick() -> int:
+        best = -1
+        best_key = (-1, -1)
+        for v in range(n):
+            if colors[v] < 0:
+                key = (ncm[v].bit_count(), degs[v])
+                if key > best_key:
+                    best_key = key
+                    best = v
+        return best
+
+    def dfs(done: int, used: int) -> bool:
+        if done == n:
+            return True
+        v = pick()
+        avail = ~ncm[v] & ((1 << min(used + 1, k)) - 1)
+        while avail:
+            c = (avail & -avail).bit_length() - 1
+            avail &= avail - 1
+            colors[v] = c
+            bit = 1 << c
+            changed = []
+            m = rows[v]
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                if colors[u] < 0 and not ncm[u] & bit:
+                    ncm[u] |= bit
+                    changed.append(u)
+            if dfs(done + 1, max(used, c + 1)):
+                return True
+            for u in changed:
+                ncm[u] &= ~bit
+            colors[v] = -1
+        return False
+
+    if dfs(0, 0):
+        return colors
+    return None

@@ -1,5 +1,7 @@
 """Format round-trips, cross-checked against networkx for graph6."""
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from covernum import (
     parse_graph6,
 )
 from covernum.generators import all_graphs, complete, cycle, random_graphs
+from oracles import gnp_graph, naive_parse_graph6
 
 
 def to_networkx_g6(g):
@@ -54,6 +57,44 @@ def test_graph6_long_form():
         assert parse_graph6(text) == g
         assert from_networkx_g6(text) == g
         assert to_networkx_g6(g) == text
+
+
+def oracle_graphs():
+    """Every graph on up to 5 vertices, then seeded random graphs on 6-64
+    vertices (long form at 63-64) from sparse to dense."""
+    for n in range(6):
+        yield from all_graphs(n)
+    rng = random.Random(6)
+    for n in range(6, 65):
+        for p in (0.1, 0.5, 0.9):
+            yield gnp_graph(rng, n, p)
+
+
+def test_graph6_matches_edge_list_oracle():
+    for g in oracle_graphs():
+        text = emit_graph6(g)
+        assert parse_graph6(text) == naive_parse_graph6(text) == g
+        if g.n >= 6:
+            assert text == to_networkx_g6(g)
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_graph6_errors_match_edge_list_oracle():
+    c5, big = emit_graph6(cycle(5)), emit_graph6(random_graphs(64, 1, 2)[0])
+    bad = ["", ">>graph6<<", "~", "~~", "~?", "~??A", "~?~~", "~??~", "D", "C~~",
+           c5[:-1] + chr((ord(c5[-1]) - 63 | 1) + 63), "C" + chr(30), "C~" + chr(200), "C" + chr(127),
+           chr(0) + "\u00e9", big[:-1], big + "?", big[:9] + " " + big[10:]]
+    for text in bad:
+        got = raised(parse_graph6, text)
+        assert got is not None, text
+        assert got == raised(naive_parse_graph6, text), text
 
 
 def test_graph6_header_is_stripped():

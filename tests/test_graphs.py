@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,9 @@ from covernum import (
     spanning_subgraph,
 )
 from covernum.graphs import bits_of, edge_index
+from covernum.recognizers import parse_class_spec
+from covernum.solver import exact_cover_number
+from oracles import gnp_graph, naive_check_rows
 
 
 def test_make_graph_basics():
@@ -55,6 +60,51 @@ def test_graph_is_hashable_and_frozen():
     assert hash(g) == hash(make_graph(2, [(0, 1)]))
     with pytest.raises(Exception):
         g.n = 3
+
+
+def test_rows_are_stored_as_a_tuple():
+    triangle = make_graph(3, [(0, 1), (0, 2), (1, 2)])
+    g = Graph(3, [6, 5, 3])
+    assert g.rows == (6, 5, 3)
+    assert g == triangle and hash(g) == hash(triangle)
+    assert exact_cover_number(g, parse_class_spec("bipartite")).value == 2
+
+
+def raised(n, rows, check):
+    try:
+        check(n, rows)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validation_matches_row_oracle():
+    """Single-bit corruptions raise what the per-row loop raises, on both
+    sides of the packed check's size threshold and at every row stride."""
+    rng = random.Random(9)
+    for n in list(range(1, 18)) + [31, 32, 33, 47, 63, 64]:
+        for p in (0.1, 0.5, 0.9):
+            rows = gnp_graph(rng, n, p).rows
+            assert raised(n, rows, Graph) is None
+            for _ in range(12):
+                u, v = rng.randrange(n), rng.randrange(n)
+                bad = list(rows)
+                kind = rng.randrange(4)
+                if kind == 0:  # asymmetric, or a self loop when u == v
+                    bad[u] ^= 1 << v
+                elif kind == 1:  # self loop
+                    bad[u] |= 1 << u
+                elif kind == 2:  # a vertex >= n, past the row stride too
+                    bad[u] |= 1 << rng.choice((n, n + 1, 64, 70))
+                else:  # negative row
+                    bad[u] = ~bad[u]
+                want = raised(n, bad, naive_check_rows)
+                assert want is not None
+                assert raised(n, bad, Graph) == want
+                assert raised(n, tuple(bad), Graph) == want
+    assert raised(20, [0] * 19 + [0.5], Graph) == raised(20, [0] * 19 + [0.5], naive_check_rows)
+    with pytest.raises(ValueError, match="row count"):
+        Graph(20, [0] * 19)
 
 
 def test_complement_small():

@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +21,8 @@ from covernum.generators import (
     random_graphs,
     triangle_free_chromatic,
 )
-from covernum.invariants import Coloring
-from oracles import brute_chromatic, brute_clique
+from covernum.invariants import Coloring, k_colorable_rows
+from oracles import brute_chromatic, brute_clique, gnp_graph, naive_k_colorable_rows
 
 
 def test_ceil_log_known_values():
@@ -111,6 +114,26 @@ def test_is_k_colorable_threshold():
         got = is_k_colorable(g, chi)
         assert got is not None
         assert check_coloring(g, got)
+
+
+def test_k_colorable_matches_dsatur_oracle():
+    """Same colouring, or None, for k = 0..n+1: every labelled graph on up
+    to 5 vertices, every 6-vertex graph of the networkx atlas under two
+    relabellings, and random graphs on 7-41 vertices from sparse to dense."""
+    rng = random.Random(41)
+    cases = [g.rows for n in range(6) for g in all_graphs(n)]
+    for a in nx.graph_atlas_g():
+        if a.number_of_nodes() == 6:
+            for _ in range(2):
+                perm = rng.sample(range(6), 6)
+                cases.append(make_graph(6, [(perm[u], perm[v]) for u, v in a.edges()]).rows)
+    for n in range(7, 42, 2):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            cases.append(gnp_graph(rng, n, p).rows)
+    for rows in cases:
+        n = len(rows)
+        for k in range(n + 2):
+            assert k_colorable_rows(n, rows, k) == naive_k_colorable_rows(n, rows, k), (rows, k)
 
 
 def test_check_coloring_rejects_bad():
