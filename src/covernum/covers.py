@@ -11,7 +11,7 @@ differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .generators import hypercube
 from .graphs import EdgeSet, Graph, edge_index, full_edge_set, spanning_subgraph
@@ -56,13 +56,16 @@ def certificate_to_json(cert: CoverCertificate) -> Dict:
     }
 
 
-def _finish(g: Graph, spec: ClassSpec, parts: List[EdgeSet]) -> CoverCertificate:
+def witnessed_cover(g: Graph, spec: ClassSpec, masks: Sequence[int]) -> CoverCertificate:
+    """The cover of g whose parts are the edge masks, in their order, each
+    part's spanning subgraph witnessed as a member of spec."""
+    parts = tuple(EdgeSet(g, mask) for mask in masks)
     wits = []
     for p in parts:
         w = in_class(spanning_subgraph(g, p), spec)
-        assert w is not None, "constructed part fell outside its class"
+        assert w is not None, "cover part fell outside its class"
         wits.append(w)
-    return CoverCertificate(g, spec, tuple(parts), tuple(wits), len(parts))
+    return CoverCertificate(g, spec, parts, tuple(wits), len(parts))
 
 
 def digit_layout(g: Graph, f: Callable[[int], int]) -> Tuple[Coloring, int, Tuple[int, ...]]:
@@ -109,7 +112,7 @@ def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
         for d in range(t):
             if su[d] != sv[d]:
                 masks[d] |= 1 << i
-    return _finish(g, spec, [EdgeSet(g, m) for m in masks])
+    return witnessed_cover(g, spec, masks)
 
 
 def formula_cover(g: Graph, spec: ClassSpec) -> CoverCertificate:
@@ -180,7 +183,7 @@ def hypercube_direction_cover(d: int) -> CoverCertificate:
     masks = [0] * d
     for i, (u, v) in enumerate(idx):
         masks[(u ^ v).bit_length() - 1] |= 1 << i
-    return _finish(g, spec, [EdgeSet(g, m) for m in masks])
+    return witnessed_cover(g, spec, masks)
 
 
 def unipolar_subgraph_bound(d: int) -> int:

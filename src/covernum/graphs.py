@@ -11,7 +11,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 MAX_VERTICES = 64
 
@@ -323,6 +323,21 @@ def induced_rows(rows: Sequence[int], vertex_mask: int) -> Tuple[int, Sequence[i
             acc |= 1 << pos[u]
         out.append(acc)
     return len(verts), out
+
+
+def proper(rows: Sequence[int], colors: Sequence[int]) -> bool:
+    """No edge inside a colour, colors[v] being v's: no row meets the
+    vertex mask of its own colour."""
+    classes: Dict[int, int] = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(row & classes[c] for row, c in zip(rows, colors))
+
+
+def is_clique(rows: Sequence[int], mask: int) -> bool:
+    """The vertices of mask (none past the rows) are pairwise adjacent:
+    each one's closed neighbourhood holds all of mask."""
+    return all((rows[v] | 1 << v) & mask == mask for v in bits_of(mask))
 
 
 def bits_of(mask: int) -> List[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import Graph, bits_of, induced_rows
+from .graphs import Graph, bits_of, induced_rows, is_clique, proper
 
 
 def ceil_log(base: int, x: int) -> int:
@@ -223,10 +223,7 @@ def check_coloring(g: Graph, coloring: Coloring) -> bool:
         return False
     if set(coloring.colors) != set(range(coloring.count)):
         return False
-    for u, v in g.edges():
-        if coloring.colors[u] == coloring.colors[v]:
-            return False
-    return True
+    return proper(g.rows, coloring.colors)
 
 
 def check_clique(g: Graph, witness: CliqueWitness) -> bool:
@@ -235,4 +232,4 @@ def check_clique(g: Graph, witness: CliqueWitness) -> bool:
         return False
     if any(not 0 <= v < g.n for v in vs):
         return False
-    return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
+    return is_clique(g.rows, sum(1 << v for v in vs))

@@ -30,6 +30,8 @@ from .graphs import (
     complement,
     complement_rows,
     induced_rows,
+    is_clique,
+    proper,
 )
 from .invariants import (
     CliqueWitness,
@@ -209,15 +211,8 @@ def is_bipartite(g: Graph) -> Optional[Tuple[int, int]]:
 
 def cluster_components(n: int, rows: Sequence[int]) -> Optional[List[int]]:
     """If every component is a clique, the component masks; else None."""
-    # P3-free check: each neighbourhood must be mutually adjacent
-    for v in range(n):
-        nv = rows[v]
-        m = nv
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if nv & ~rows[u] & ~(1 << u):
-                return None
+    if _find_p3(rows, (1 << n) - 1) is not None:
+        return None
     comps = []
     seen = 0
     for v in range(n):
@@ -468,10 +463,10 @@ def _check_bipartite(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
     sides = witness.get("sides")
     if not isinstance(sides, (list, tuple)) or len(sides) != 2 or not all(map(_ints, sides)):
         return False
-    if sorted(sides[0] + sides[1]) != list(range(g.n)):
+    if sorted([*sides[0], *sides[1]]) != list(range(g.n)):
         return False
-    s0, s1 = set(sides[0]), set(sides[1])
-    return not any((u in s0 and v in s0) or (u in s1 and v in s1) for u, v in g.edges())
+    side1 = set(sides[1])
+    return proper(g.rows, [v in side1 for v in range(g.n)])
 
 
 def _chi_le_member(spec: ClassSpec) -> MemberFn:
@@ -490,7 +485,7 @@ def _check_chi_le(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
         return False
     if g.n and (min(colors) < 0 or max(colors) >= spec.k):
         return False
-    return not any(colors[u] == colors[v] for u, v in g.edges())
+    return proper(g.rows, colors)
 
 
 def _split_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
@@ -509,16 +504,14 @@ def _check_split_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
     flat = list(a) + [v for c in clusters for v in c]
     if len(set(flat)) != len(flat) or set(flat) != set(range(g.n)):
         return False
-    if not all(g.has_edge(u, v) for i, u in enumerate(a) for v in a[i + 1:]):
+    a_mask = sum(1 << v for v in a)
+    if not is_clique(g.rows, a_mask):
         return False
+    # clusters are cliques with no edge between them: N[v] - A is v's own
     for c in clusters:
-        if not all(g.has_edge(u, v) for i, u in enumerate(c) for v in c[i + 1:]):
+        c_mask = sum(1 << v for v in c)
+        if any((g.rows[v] | 1 << v) & ~a_mask != c_mask for v in c):
             return False
-    # no edges between different clusters
-    for i, c1 in enumerate(clusters):
-        for c2 in clusters[i + 1:]:
-            if any(g.has_edge(u, v) for u in c1 for v in c2):
-                return False
     return True
 
 
@@ -588,8 +581,8 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
         if not _ints(colors) or not _ints(clique) or len(colors) != g.n:
             return False
         if g.n == 0:
-            return clique == []
-        if any(colors[u] == colors[v] for u, v in g.edges()):
+            return not clique
+        if not proper(g.rows, colors):
             return False
         if not clique or not check_clique(g, CliqueWitness(tuple(clique), len(clique))):
             return False

@@ -41,6 +41,9 @@ Three family generators, all exact:
 Each route a class has predicts its work on the host, and the cheapest
 prediction runs, the earlier route in the list above winning ties; the
 edge budget gates every route alike.  The generators agree (tested).
+
+Certificates come from covers.witnessed_cover.  `max_class_subgraph_size`
+for unipolar runs structural.unipolar_max_edges instead of the family.
 """
 
 from __future__ import annotations
@@ -48,18 +51,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from .covers import CoverCertificate, digit_cover, digit_layout
-from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows, spanning_subgraph
+from .covers import CoverCertificate, digit_cover, digit_layout, witnessed_cover
+from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows
 from .invariants import ceil_log, chromatic_number, first_fit_colors, omega_of_rows
-from .recognizers import (
-    CLASSES,
-    ClassSpec,
-    class_f,
-    color_bound,
-    in_class,
-    membership_fn,
-)
-from .structural import cliques, incident_edges, maximal_masks
+from .recognizers import CLASSES, ClassSpec, class_f, color_bound, membership_fn
+from .structural import maximal_masks, unipolar_max_edges, unipolar_work
+
+# Unused here: bench/tracing.py hooks these two names on this module.
+from .graphs import spanning_subgraph  # noqa: F401
+from .recognizers import in_class  # noqa: F401
 
 
 class BudgetError(RuntimeError):
@@ -307,16 +307,6 @@ def _min_set_cover(
     return best
 
 
-def _certificate(g: Graph, spec: ClassSpec, masks: List[int]) -> CoverCertificate:
-    parts = [EdgeSet(g, mask) for mask in sorted(masks)]
-    wits = []
-    for p in parts:
-        w = in_class(spanning_subgraph(g, p), spec)
-        assert w is not None, "solver part fell outside its class"
-        wits.append(w)
-    return CoverCertificate(g, spec, tuple(parts), tuple(wits), len(parts))
-
-
 def _no_member_covers(g: Graph, spec: ClassSpec, j: int) -> ValueError:
     u, v = edge_index(g)[j]
     return ValueError(f"class {spec} has no member covering edge ({u}, {v})")
@@ -375,7 +365,7 @@ def _solve(
     if membership_fn(spec)(g.n, g.rows):
         stats.family_size = 1
         stats.method = "host-member"
-        return _certificate(g, spec, [universe])
+        return witnessed_cover(g, spec, [universe])
     if bounded:
         lower, upper, cover = _bounds(g, spec, cap, budget)
         if cap is not None and cap < lower:
@@ -394,7 +384,7 @@ def _solve(
     picked = _min_set_cover(universe, family, cap, stats)
     if picked is None:
         return None
-    return _certificate(g, spec, [family[i] for i in picked])
+    return witnessed_cover(g, spec, sorted(family[i] for i in picked))
 
 
 def exact_cover_number(
@@ -431,38 +421,13 @@ def max_class_subgraph_size(
 ) -> int:
     """Most edges of any class member inside g.
 
-    Within budget this reads off the maximal family.  Beyond it there is
-    an exact fallback for unipolar only: pick the clique side A, take all
-    its incident edges, and solve the cluster side by subset DP.
+    Unipolar answers by the structural family's max-edge recursion, past
+    the edge budget too while its predicted work stays within 2^max_edges;
+    every other class reads off the maximal family.
     """
-    if spec.kind == "unipolar" and g.edge_count > budget.max_edges:
-        return _max_unipolar_edges(g)
+    if spec.kind == "unipolar":
+        if g.edge_count > budget.max_edges and unipolar_work(g) > 1 << budget.max_edges:
+            raise _over_budget(g, budget)
+        return unipolar_max_edges(g)
     family, _ = family_maximal_masks(g, spec, budget)
     return max((mask.bit_count() for mask in family), default=0)
-
-
-def _max_unipolar_edges(g: Graph) -> int:
-    if g.n > 16:
-        raise BudgetError("unipolar subgraph fallback limited to 16 vertices")
-    n, rows = g.n, g.rows
-    inc = incident_edges(g)
-    full = (1 << n) - 1
-    memo: Dict[int, int] = {0: 0}
-
-    def cluster_dp(sub: int) -> int:
-        """Max edges of a spanning cluster subgraph of G[sub]."""
-        got = memo.get(sub)
-        if got is not None:
-            return got
-        low = sub & -sub  # the cluster holding sub's lowest vertex
-        v = low.bit_length() - 1
-        best = max(
-            inside.bit_count() + cluster_dp(sub & ~q)
-            for q, _, inside in cliques(rows, inc, low, rows[v] & sub, inc[v])
-        )
-        memo[sub] = best
-        return best
-
-    return max(
-        touch.bit_count() + cluster_dp(full & ~a) for a, touch, _ in cliques(rows, inc, 0, full)
-    )

@@ -13,7 +13,7 @@ the masks ascending, as the subset sweep does.
   cliques of G, and that edge set is a member.  Growing A by a vertex
   adjacent to all of it only adds edges, so A ranges over the maximal
   cliques of G; the maximal cluster edge sets of each remaining vertex set
-  are memoised.
+  are memoised.  `unipolar_max_edges` keeps only each set's best count.
 * co-unipolar: the complement of a member is unipolar, so a member is an
   independent set A plus a complete multipartite graph on the rest.  Its
   parts must hold every non-edge of G between rest vertices, so the
@@ -21,9 +21,10 @@ the masks ascending, as the subset sweep does.
   fixes one maximal candidate: the G-edges between A and the rest and
   those between different components.  Every vertex set is a candidate A.
 
-`maximal_masks` is the one sink: the inclusion-maximal masks of a list,
-found through an inverted index from each edge to the kept masks that
-hold it.
+`maximal_masks`, the structural and partition routes' sink, finds the
+inclusion-maximal masks of a list through an inverted index from each edge
+to the kept masks that hold it.  The subset sweep keeps its bytearray DP:
+at m = 22 its members could be 4M Python ints, its bytearrays take 8 MB.
 """
 
 from __future__ import annotations
@@ -170,9 +171,34 @@ def unipolar_family(g: Graph) -> List[int]:
     )
 
 
+def unipolar_max_edges(g: Graph) -> int:
+    """Most edges of a unipolar subgraph of g: unipolar_family's recursion
+    keeping, for each vertex set, only the largest cluster edge count."""
+    rows, inc = _bfs_rows(g)
+    memo: Dict[int, int] = {0: 0}
+
+    def clusters(rest: int) -> int:
+        """Most edges of a disjoint union of cliques inside G[rest]."""
+        got = memo.get(rest)
+        if got is None:
+            low = rest & -rest  # the block holding rest's least vertex
+            v = low.bit_length() - 1
+            got = memo[rest] = max(
+                inside.bit_count() + clusters(rest & ~q)
+                for q, _, inside in cliques(rows, inc, low, rows[v] & rest, inc[v])
+            )
+        return got
+
+    everyone = (1 << len(rows)) - 1
+    return max(
+        (touch.bit_count() + clusters(everyone & ~a) for a, touch in _clique_sides(rows, inc)),
+        default=0,
+    )
+
+
 def unipolar_work(g: Graph) -> int:
-    """Predicted work of unipolar_family: a bound on the vertex sets its
-    cluster recursion visits.  Below a clique side, a visited set with
+    """Predicted work of unipolar_family and unipolar_max_edges: a bound
+    on the vertex sets their cluster recursion visits.  Below a clique side, a visited set with
     least vertex t lacks, above t, only vertices that blocks led from
     below t took, and those are neighbours of vertices below t; so each
     clique side leads to at most the sum over t of 2^|N(below t) above t|

@@ -4,17 +4,19 @@ Most of these trade speed for obvious correctness: full subset sweeps,
 full assignment sweeps, no pruning.  Keep these dumb.  The naive_*
 graph6 decoder, row validator and DSATUR search are the one-bit-at-a-time
 versions the packed and incremental code replaced, kept as references for
-identical results and messages.
+identical results and messages.  The naive_check_* witness checkers walk
+the edge list and compare vertex pairs, as the mask checks they were
+replaced by must agree with.
 """
 
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Tuple
 
-from covernum import CapacityError, Graph, ParseError, make_graph
+from covernum import CapacityError, Graph, ParseError, complement, make_graph
 from covernum.graphs import MAX_VERTICES, induced_rows
 from covernum.invariants import chi_of_rows, omega_of_rows
-from covernum.recognizers import cluster_components
+from covernum.recognizers import class_f, cluster_components
 
 
 def brute_chromatic(g: Graph) -> int:
@@ -234,3 +236,112 @@ def naive_k_colorable_rows(n: int, rows, k: int):
     if dfs(0, 0):
         return colors
     return None
+
+
+def naive_check_coloring(g: Graph, coloring) -> bool:
+    """check_coloring by the edge list: right length, every colour id in
+    0..count-1 used, no edge inside a colour."""
+    if len(coloring.colors) != g.n:
+        return False
+    if g.n == 0:
+        return coloring.count == 0
+    if any(c < 0 or c >= coloring.count for c in coloring.colors):
+        return False
+    if set(coloring.colors) != set(range(coloring.count)):
+        return False
+    return not any(coloring.colors[u] == coloring.colors[v] for u, v in g.edges())
+
+
+def naive_check_clique(g: Graph, witness) -> bool:
+    """check_clique pair by pair."""
+    vs = witness.vertices
+    if len(vs) != witness.size or len(set(vs)) != len(vs):
+        return False
+    if any(not 0 <= v < g.n for v in vs):
+        return False
+    return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
+
+
+def _ints(x) -> bool:
+    return isinstance(x, (list, tuple)) and all(isinstance(v, int) for v in x)
+
+
+def _check_bipartite(g: Graph, spec, witness) -> bool:
+    sides = witness.get("sides")
+    if not isinstance(sides, (list, tuple)) or len(sides) != 2 or not all(map(_ints, sides)):
+        return False
+    if sorted(list(sides[0]) + list(sides[1])) != list(range(g.n)):
+        return False
+    s0, s1 = set(sides[0]), set(sides[1])
+    return not any((u in s0 and v in s0) or (u in s1 and v in s1) for u, v in g.edges())
+
+
+def _check_chi_le(g: Graph, spec, witness) -> bool:
+    colors = witness.get("coloring")
+    if not _ints(colors) or len(colors) != g.n:
+        return False
+    if g.n and (min(colors) < 0 or max(colors) >= spec.k):
+        return False
+    return not any(colors[u] == colors[v] for u, v in g.edges())
+
+
+def _check_chibound(g: Graph, spec, witness) -> bool:
+    colors = witness.get("coloring")
+    clique = witness.get("clique")
+    if not _ints(colors) or not _ints(clique) or len(colors) != g.n:
+        return False
+    if g.n == 0:
+        return len(clique) == 0
+    if any(colors[u] == colors[v] for u, v in g.edges()):
+        return False
+    if not clique or len(set(clique)) != len(clique) or any(not 0 <= v < g.n for v in clique):
+        return False
+    if not all(g.has_edge(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]):
+        return False
+    try:
+        return len(set(colors)) <= class_f(spec)(len(clique))
+    except ValueError:
+        return False
+
+
+def _check_split(g: Graph, spec, witness) -> bool:
+    a = witness.get("clique_side", [])
+    clusters = witness.get("clusters", [])
+    if not _ints(a) or not isinstance(clusters, (list, tuple)) or not all(map(_ints, clusters)):
+        return False
+    flat = list(a) + [v for c in clusters for v in c]
+    if len(set(flat)) != len(flat) or set(flat) != set(range(g.n)):
+        return False
+    if not all(g.has_edge(u, v) for i, u in enumerate(a) for v in a[i + 1:]):
+        return False
+    for c in clusters:
+        if not all(g.has_edge(u, v) for i, u in enumerate(c) for v in c[i + 1:]):
+            return False
+    for i, c1 in enumerate(clusters):
+        for c2 in clusters[i + 1:]:
+            if any(g.has_edge(u, v) for u in c1 for v in c2):
+                return False
+    return True
+
+
+_NAIVE_CHECKS = {
+    "bipartite": _check_bipartite,
+    "chi-le": _check_chi_le,
+    "chi-le-f": _check_chibound,
+    "chi-eq-omega": _check_chibound,
+    "unipolar": _check_split,
+    "co-unipolar": lambda g, spec, w: _check_split(complement(g), spec, w),
+}
+
+
+def naive_check_witness(g: Graph, spec, witness) -> bool:
+    """check_witness for every class but perfect, by edge walks and
+    pairwise adjacency tests."""
+    if not isinstance(witness, dict) or witness.get("class") != str(spec):
+        return False
+    kind = spec.kind
+    if kind == "gsp":
+        kind = witness.get("branch")
+        if kind not in ("unipolar", "co-unipolar"):
+            return False
+    return _NAIVE_CHECKS[kind](g, spec, witness)

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -25,8 +26,16 @@ from covernum import (
 from covernum.covers import CoverCertificate
 from covernum.generators import all_graphs, kKl, random_graphs
 from covernum.graphs import complement_rows, full_edge_set
+from covernum.invariants import CliqueWitness, Coloring, check_clique, check_coloring
 from covernum.recognizers import CLASS_KINDS, FSpec, find_odd_hole, identity_f, membership_fn
-from oracles import naive_odd_hole, naive_perfect, naive_unipolar
+from oracles import (
+    naive_check_clique,
+    naive_check_coloring,
+    naive_check_witness,
+    naive_odd_hole,
+    naive_perfect,
+    naive_unipolar,
+)
 
 ALL_SPECS = [parse_class_spec(t) for t in (
     "bipartite", "chi-le:2", "chi-le:3", "chi-le-f:identity",
@@ -270,6 +279,95 @@ def test_check_witness_rejects_tampering():
     w = {"class": str(spec), "coloring": [0, 1, 2], "clique": [0, 1, 2]}
     assert not check_witness(k3, spec, w)
     assert not check_certificate(k3, CoverCertificate(k3, spec, (full_edge_set(k3),), (w,), 1))
+
+
+def test_check_witness_takes_lists_and_tuples_alike():
+    bipartite = parse_class_spec("bipartite")
+    for sides in ([[0, 2], (1, 3)], ((0, 2), [1, 3]), ([0, 2], [1, 3])):
+        assert check_witness(cycle(4), bipartite, {"class": "bipartite", "sides": sides})
+    odd = {"class": "bipartite", "sides": [[0, 2], (1, 3, 4)]}
+    assert not check_witness(cycle(5), bipartite, odd)
+    empty = make_graph(0, [])
+    for text in ("chi-eq-omega", "chi-le-f:identity"):
+        spec = parse_class_spec(text)
+        for clique in ([], ()):
+            for colors in ([], ()):
+                w = {"class": text, "coloring": colors, "clique": clique}
+                assert check_witness(empty, spec, w), (text, clique, colors)
+        assert not check_witness(empty, spec, {"class": text, "coloring": [], "clique": [0]})
+
+
+def _vertex_lists(body):
+    """The lists of vertex ids in a witness body."""
+    if "sides" in body:
+        return body["sides"]
+    if "clique_side" in body:
+        return [body["clique_side"]] + body["clusters"]
+    return [body["clique"]] if "clique" in body else []
+
+
+def _mutant(rng, body, n):
+    """A copy of body with one change: a vertex (or a vertex's colour)
+    moved, dropped or duplicated, or a vertex id past n (a colour out of
+    range)."""
+    body = copy.deepcopy(body)
+    colors = body.get("coloring")
+    lists = _vertex_lists(body)
+    targets = [lst for lst in [colors] + lists if lst]
+    if not targets:
+        return body
+    target = rng.choice(targets)
+    i = rng.randrange(len(target))
+    kind = rng.choice(("move", "drop", "duplicate", "out of range"))
+    if kind == "drop":
+        del target[i]
+    elif kind == "duplicate":
+        (target if target is colors else rng.choice(lists)).append(target[i])
+    elif target is colors:
+        top = max(colors) + 1
+        colors[i] = rng.randrange(top) if kind == "move" else rng.choice((-1, top, n))
+    elif kind == "out of range":
+        target[i] = n + rng.randrange(3)
+    elif len(lists) == 1:  # a clique: another vertex in this one's place
+        target[i] = rng.randrange(n)
+    else:
+        rng.choice(lists).append(target.pop(i))
+    return body
+
+
+def test_witness_checks_match_edge_walk_oracles():
+    # valid witnesses and seeded mutations of them, each checked on its own
+    # graph and on another of the same order, by the mask checks and by
+    # the edge-walk oracles
+    rng = random.Random(20261018)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    for n, seed in ((7, 71), (9, 91), (12, 121)):
+        for g in random_graphs(n, 30, seed):
+            thin = make_graph(n, [e for e in g.edges() if rng.random() < 0.3])
+            graphs += [g, thin, complement(thin)]
+    by_order = {}
+    for g in graphs:
+        by_order.setdefault(g.n, []).append(g)
+    specs = [spec for spec in ALL_SPECS if spec.kind != "perfect"]
+    outcomes = {True: 0, False: 0}
+    for g in graphs:
+        other = rng.choice(by_order[g.n])
+        for spec in specs:
+            body = in_class(g, spec)
+            if body is None:
+                continue
+            assert check_witness(g, spec, body) and naive_check_witness(g, spec, body)
+            for w in [body] + [_mutant(rng, body, g.n) for _ in range(4)]:
+                for host in (g, other):
+                    got = check_witness(host, spec, w)
+                    assert got == naive_check_witness(host, spec, w), (host, spec, w)
+                    outcomes[got] += 1
+                    if "clique" in w:
+                        col = Coloring(tuple(w["coloring"]), max(w["coloring"], default=-1) + 1)
+                        assert check_coloring(host, col) == naive_check_coloring(host, col)
+                        cw = CliqueWitness(tuple(w["clique"]), len(w["clique"]))
+                        assert check_clique(host, cw) == naive_check_clique(host, cw)
+    assert min(outcomes.values()) > 10000, outcomes
 
 
 def test_membership_fn_matches_in_class():

@@ -26,6 +26,7 @@ from covernum import (
 from covernum.generators import all_graphs, random_graphs
 from covernum.graphs import edge_index
 from covernum.recognizers import membership_fn
+from covernum.structural import unipolar_family, unipolar_max_edges, unipolar_work
 
 SPECS = [parse_class_spec(t) for t in (
     "bipartite", "chi-le:2", "chi-le:3", "chi-le-f:identity",
@@ -231,6 +232,27 @@ def test_q4_unipolar_subgraph_fallback():
     assert max_class_subgraph_size(q4, spec) == 14 == unipolar_subgraph_bound(4)
     with pytest.raises(BudgetError):
         max_class_subgraph_size(q4, parse_class_spec("perfect"))
+
+
+def test_unipolar_subgraph_size_past_the_edge_budget(monkeypatch):
+    # every host here has more edges than the default budget of 22
+    spec = parse_class_spec("unipolar")
+    for text, most in (("cycle:23", 13), ("far:1,2", 18), ("complete:12", 66)):
+        assert max_class_subgraph_size(parse_family_spec(text), spec) == most, text
+    # past the budget, predicted work decides, before any recursion runs
+    g = random_graphs(24, 1, 5)[0]
+    assert unipolar_work(g) > 1 << 25
+    monkeypatch.setattr("covernum.solver.unipolar_max_edges", None)
+    with pytest.raises(BudgetError):
+        max_class_subgraph_size(g, spec)
+
+
+def test_unipolar_max_edges_matches_the_family():
+    hosts = [g for n in range(6) for g in all_graphs(n)]
+    hosts += [g for n in range(7, 11) for g in random_graphs(n, 12, 40 + n)]
+    for g in hosts:
+        most = max((mask.bit_count() for mask in unipolar_family(g)), default=0)
+        assert unipolar_max_edges(g) == most, g
 
 
 def test_max_subgraph_size_within_budget():
