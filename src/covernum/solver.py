@@ -426,7 +426,8 @@ def max_class_subgraph_size(
     every other class reads off the maximal family.
     """
     if spec.kind == "unipolar":
-        if g.edge_count > budget.max_edges and unipolar_work(g) > 1 << budget.max_edges:
+        cap = 1 << budget.max_edges
+        if g.edge_count > budget.max_edges and unipolar_work(g, cap) > cap:
             raise _over_budget(g, budget)
         return unipolar_max_edges(g)
     family, _ = family_maximal_masks(g, spec, budget)

@@ -29,7 +29,8 @@ at m = 22 its members could be 4M Python ints, its bytearrays take 8 MB.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, edge_index
 
@@ -196,20 +197,22 @@ def unipolar_max_edges(g: Graph) -> int:
     )
 
 
-def unipolar_work(g: Graph) -> int:
-    """Predicted work of unipolar_family and unipolar_max_edges: a bound
-    on the vertex sets their cluster recursion visits.  Below a clique side, a visited set with
-    least vertex t lacks, above t, only vertices that blocks led from
-    below t took, and those are neighbours of vertices below t; so each
-    clique side leads to at most the sum over t of 2^|N(below t) above t|
-    sets."""
+def unipolar_work(g: Graph, cap: Optional[int] = None) -> int:
+    """Predicted work of unipolar_family and unipolar_max_edges: per clique
+    side, the recursion visits at most S = the sum over t of 2^|N(below t)
+    above t| vertex sets, as a set with least vertex t lacks, above t, only
+    neighbours of vertices below t.  A clique is its least vertex plus later
+    neighbours, so the clique walk is at most 2S + 2 steps; given a cap, the
+    answer is exact up to cap, larger means "above cap", and costs O(cap)."""
     rows, inc = _bfs_rows(g)
-    sets = 0
-    reach = 0  # neighbours of the vertices below t
+    sets = reach = 0  # reach: neighbours of the vertices below t
     for t, row in enumerate(rows):
         sets += 1 << (reach >> (t + 1)).bit_count()
         reach |= row
-    return sets * sum(1 for _ in _clique_sides(rows, inc))
+    if cap is not None and sets > cap:
+        return sets
+    stop = None if cap is None else cap // max(sets, 1) + 1
+    return sets * sum(1 for _ in islice(_clique_sides(rows, inc), stop))
 
 
 def co_unipolar_family(g: Graph) -> List[int]:

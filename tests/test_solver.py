@@ -247,6 +247,26 @@ def test_unipolar_subgraph_size_past_the_edge_budget(monkeypatch):
         max_class_subgraph_size(g, spec)
 
 
+def test_unipolar_gate_rejects_dense_hosts_before_the_clique_walk(monkeypatch):
+    # K_30 has 2^30 cliques; the vertex-set factor alone exceeds 2^22
+    spec = parse_class_spec("unipolar")
+    monkeypatch.setattr("covernum.structural._clique_sides", None)
+    monkeypatch.setattr("covernum.solver.unipolar_max_edges", None)
+    for g in (complete(30), complete(64), random_graphs(48, 1, 3)[0]):
+        with pytest.raises(BudgetError):
+            max_class_subgraph_size(g, spec)
+
+
+def test_unipolar_work_cap_is_exact_up_to_the_cap():
+    hosts = [cycle(23), complete(8), hypercube(4), parse_family_spec("far:1,2")]
+    hosts += random_graphs(12, 4, 9) + random_graphs(24, 1, 5)
+    for g in hosts:
+        work = unipolar_work(g)
+        for cap in (0, 1, work // 3, work - 1, work, work + 1, 1 << 22):
+            capped = unipolar_work(g, cap)
+            assert capped == work if work <= cap else capped > cap, (g, cap)
+
+
 def test_unipolar_max_edges_matches_the_family():
     hosts = [g for n in range(6) for g in all_graphs(n)]
     hosts += [g for n in range(7, 11) for g in random_graphs(n, 12, 40 + n)]
