@@ -7,7 +7,7 @@ garbage are errors, not warnings.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import MAX_VERTICES, CapacityError, Graph, make_graph, symmetric_closure
 
@@ -84,8 +84,33 @@ def emit_graph6(g: Graph) -> str:
     return head + "".join([_G6_CHARS[body[i:i + 6]] for i in range(0, len(body), 6)])
 
 
+def _read_graph(items: Iterator, base: int) -> Graph:
+    """The graph a parser's items describe: its vertex count, then its
+    edges (u, v), 0 based.  Each edge is checked for a self loop or a
+    repeat as it comes, before the parser reads on, so these errors keep
+    their place among the parser's own; make_graph's (capacity, range)
+    come last.  Messages count vertices from base."""
+    n = next(items)
+    edges = {}  # (least, greatest) -> the edge as read
+    for u, v in items:
+        if u == v:
+            raise ParseError(f"self loop at vertex {u + base}")
+        key = (min(u, v), max(u, v))
+        if key in edges:
+            raise ParseError(f"duplicate edge ({u + base}, {v + base})")
+        edges[key] = (u, v)
+    try:
+        return make_graph(n, edges.values())
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Plain format: a header line "n m" then m lines "u v" (0 based)."""
+    return _read_graph(_edge_list_items(text), 0)
+
+
+def _edge_list_items(text: str) -> Iterator:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -102,8 +127,7 @@ def parse_edge_list(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"header announces {m} edges but body has {len(body)} lines")
-    edges = []
-    seen = set()
+    yield n
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
@@ -112,17 +136,7 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f'edge line "{ln}" must be two integers') from None
-        if u == v:
-            raise ParseError(f"self loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append((u, v))
-    try:
-        return make_graph(n, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        yield u, v
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -133,9 +147,12 @@ def emit_edge_list(g: Graph) -> str:
 
 def parse_dimacs(text: str) -> Graph:
     """DIMACS: "p edge n m" then m lines "e u v" with 1 based vertices."""
+    return _read_graph(_dimacs_items(text), 1)
+
+
+def _dimacs_items(text: str) -> Iterator:
     n = m = None
-    edges = []
-    seen = set()
+    count = 0
     for raw in text.splitlines():
         ln = raw.strip()
         if not ln or ln.startswith("c"):
@@ -150,6 +167,7 @@ def parse_dimacs(text: str) -> Graph:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError("non-integer counts in DIMACS problem line") from None
+            yield n
         elif ln.startswith("e"):
             if n is None:
                 raise ParseError("DIMACS edge line before problem line")
@@ -160,23 +178,14 @@ def parse_dimacs(text: str) -> Graph:
                 u, v = int(parts[1]) - 1, int(parts[2]) - 1
             except ValueError:
                 raise ParseError(f'DIMACS edge line "{ln}" must be integers') from None
-            if u == v:
-                raise ParseError(f"self loop at vertex {u + 1}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ParseError(f"duplicate edge ({u + 1}, {v + 1})")
-            seen.add(key)
-            edges.append((u, v))
+            count += 1
+            yield u, v
         else:
             raise ParseError(f'unrecognized DIMACS line "{ln}"')
     if n is None:
         raise ParseError("missing DIMACS problem line")
-    if len(edges) != m:
-        raise ParseError(f"header announces {m} edges but body has {len(edges)}")
-    try:
-        return make_graph(n, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    if count != m:
+        raise ParseError(f"header announces {m} edges but body has {count}")
 
 
 def emit_dimacs(g: Graph) -> str:

@@ -340,6 +340,30 @@ def is_clique(rows: Sequence[int], mask: int) -> bool:
     return all((rows[v] | 1 << v) & mask == mask for v in bits_of(mask))
 
 
+def neighbourhood(rows: Sequence[int], mask: int) -> int:
+    """The union of rows[v] over the vertices v of mask."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out |= rows[b.bit_length() - 1]
+    return out
+
+
+def components(rows: Sequence[int], mask: int) -> List[int]:
+    """Vertex masks of the components of the graph induced on mask, by
+    least vertex: each grows from that vertex one frontier at a time."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            frontier = neighbourhood(rows, frontier) & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask &= ~comp
+    return comps
+
+
 def bits_of(mask: int) -> List[int]:
     """Positions of set bits, ascending."""
     out = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import Graph, bits_of, induced_rows, is_clique, proper
+from .graphs import Graph, bits_of, components, induced_rows, is_clique, proper
 
 
 def ceil_log(base: int, x: int) -> int:
@@ -139,29 +139,6 @@ def k_colorable_rows(n: int, rows: Sequence[int], k: int) -> Optional[List[int]]
     return None
 
 
-def _components(n: int, rows: Sequence[int]) -> List[int]:
-    """Connected components as vertex masks, ordered by least vertex."""
-    seen = 0
-    comps = []
-    for v in range(n):
-        if seen >> v & 1:
-            continue
-        frontier = 1 << v
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= rows[u]
-            frontier = nxt & ~comp
-        comps.append(comp)
-        seen |= comp
-    return comps
-
-
 def _color_components(n: int, rows: Sequence[int], k: Optional[int] = None) -> Optional[Coloring]:
     """Proper coloring built one connected component at a time, or None.
 
@@ -169,7 +146,7 @@ def _color_components(n: int, rows: Sequence[int], k: Optional[int] = None) -> O
     more); without, each gets its fewest, deepening from its clique number.
     """
     colors = [0] * n
-    for comp in _components(n, rows):
+    for comp in components(rows, (1 << n) - 1):
         cn, crows = induced_rows(rows, comp)
         c = omega_of_rows(cn, crows) if k is None else k
         sol = k_colorable_rows(cn, crows, c)
@@ -195,11 +172,6 @@ def first_fit_colors(n: int, rows: Sequence[int]) -> int:
         else:
             classes.append(1 << v)
     return len(classes)
-
-
-def chi_of_rows(n: int, rows: Sequence[int]) -> int:
-    """Exact chromatic number by deepening k-colorability per component."""
-    return _color_components(n, rows).count
 
 
 def chromatic_number(g: Graph) -> Tuple[int, Coloring]:

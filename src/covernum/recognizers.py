@@ -31,6 +31,7 @@ from .graphs import (
     complement_rows,
     induced_rows,
     is_clique,
+    neighbourhood,
     proper,
 )
 from .invariants import (
@@ -174,34 +175,25 @@ def parse_class_spec(text: str) -> ClassSpec:
 
 
 def bipartition_rows(n: int, rows: Sequence[int]) -> Optional[Tuple[int, int]]:
-    """Two-coloring by BFS, sides as vertex masks; side 0 gets each
-    component's least vertex."""
-    side = [-1] * n
-    mask0 = mask1 = 0
-    for s in range(n):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        mask0 |= 1 << s
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                m = rows[v]
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if side[u] < 0:
-                        side[u] = side[v] ^ 1
-                        if side[u]:
-                            mask1 |= 1 << u
-                        else:
-                            mask0 |= 1 << u
-                        nxt.append(u)
-                    elif side[u] == side[v]:
-                        return None
-            frontier = nxt
-    return mask0, mask1
+    """Two-coloring by breadth-first layers, sides as vertex masks: a graph
+    is bipartite exactly when no edge joins two vertices of one layer, and
+    alternate layers are the sides, side 0 holding each component's least
+    vertex."""
+    sides = [0, 0]
+    left = (1 << n) - 1
+    while left:
+        layer = seen = left & -left
+        side = 0
+        while layer:
+            reach = neighbourhood(rows, layer)
+            if reach & layer:
+                return None
+            sides[side] |= layer
+            layer = reach & ~seen
+            seen |= layer
+            side ^= 1
+        left &= ~seen
+    return sides[0], sides[1]
 
 
 def is_bipartite(g: Graph) -> Optional[Tuple[int, int]]:
@@ -521,11 +513,12 @@ def _check_split_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
 class Family:
     """A structural route to a class's maximal members inside a host g:
     generate(g) lists their edge masks ascending, as the subset sweep
-    does, and work(g) predicts its steps, which the solver weighs against
-    the subset sweep's 2^m membership tests."""
+    does, and work(g, cap) predicts its steps, exact up to cap and above
+    cap otherwise, in O(cap); the solver weighs it against the subset
+    sweep's 2^m membership tests with cap 2^m."""
 
     generate: Callable[[Graph], List[int]]
-    work: Callable[[Graph], int]
+    work: Callable[[Graph, int], int]
 
 
 @dataclass(frozen=True)
@@ -643,7 +636,7 @@ def _union_entry(first: str, second: str) -> ClassEntry:
 
     family = Family(
         lambda g: maximal_masks(mask for part in families() for mask in part.generate(g)),
-        lambda g: sum(part.work(g) for part in families()),
+        lambda g, cap: sum(part.work(g, cap) for part in families()),
     )
     return ClassEntry(member, witness, check, family=family)
 

@@ -40,7 +40,10 @@ Three family generators, all exact:
 
 Each route a class has predicts its work on the host, and the cheapest
 prediction runs, the earlier route in the list above winning ties; the
-edge budget gates every route alike.  The generators agree (tested).
+edge budget gates every route alike.  A structural prediction is capped
+at the subset sweep's 2^m, exact up to it and only known to be larger
+past it, so it costs O(2^m) at most and a structural route still wins
+exactly when its work is at most 2^m.  The generators agree (tested).
 
 Certificates come from covers.witnessed_cover.  `max_class_subgraph_size`
 for unipolar runs structural.unipolar_max_edges instead of the family.
@@ -205,7 +208,8 @@ def _cheapest_route(g: Graph, spec: ClassSpec) -> Tuple[str, Callable[[], List[i
                        lambda: _partition_family(g, spec, bound, active)))
     family = CLASSES[spec.kind].family
     if family is not None:
-        routes.append((family.work(g), "structural", lambda: family.generate(g)))
+        routes.append((family.work(g, 1 << g.edge_count), "structural",
+                       lambda: family.generate(g)))
     routes.append((1 << g.edge_count, "subset", lambda: _subset_family(g, spec)))
     _, method, generate = min(routes, key=lambda route: route[0])
     return method, generate

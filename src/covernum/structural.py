@@ -20,6 +20,9 @@ the masks ascending, as the subset sweep does.
   finest parts are the components of complement(G)[V - A], and each A
   fixes one maximal candidate: the G-edges between A and the rest and
   those between different components.  Every vertex set is a candidate A.
+  The components come from `graphs.components` on complement(G), and
+  the edges touching A or a component are `graphs.neighbourhood` over
+  the vertices' incident edge masks.
 
 `maximal_masks`, the structural and partition routes' sink, finds the
 inclusion-maximal masks of a list through an inverted index from each edge
@@ -29,10 +32,9 @@ at m = 22 its members could be 4M Python ints, its bytearrays take 8 MB.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .graphs import Graph, edge_index
+from .graphs import Graph, components, edge_index, neighbourhood
 
 
 def maximal_masks(masks: Iterable[int]) -> List[int]:
@@ -89,13 +91,6 @@ def cliques(rows: Sequence[int], inc: Sequence[int], cur: int, cand: int,
         u = b.bit_length() - 1
         yield from cliques(rows, inc, cur | b, m & rows[u], touch | inc[u],
                            inside | (inc[u] & touch))
-
-
-def _active(g: Graph) -> int:
-    active = 0
-    for row in g.rows:
-        active |= row
-    return active
 
 
 def _bfs_rows(g: Graph) -> Tuple[List[int], List[int]]:
@@ -197,67 +192,52 @@ def unipolar_max_edges(g: Graph) -> int:
     )
 
 
-def unipolar_work(g: Graph, cap: Optional[int] = None) -> int:
+def unipolar_work(g: Graph, cap: int) -> int:
     """Predicted work of unipolar_family and unipolar_max_edges: per clique
     side, the recursion visits at most S = the sum over t of 2^|N(below t)
     above t| vertex sets, as a set with least vertex t lacks, above t, only
     neighbours of vertices below t.  A clique is its least vertex plus later
-    neighbours, so the clique walk is at most 2S + 2 steps; given a cap, the
-    answer is exact up to cap, larger means "above cap", and costs O(cap)."""
+    neighbours, so the clique walk is at most 2S + 2 steps.  The answer is
+    exact up to cap, larger means "above cap", and costs O(cap): clique
+    sides are counted only until S times their count passes cap."""
     rows, inc = _bfs_rows(g)
     sets = reach = 0  # reach: neighbours of the vertices below t
     for t, row in enumerate(rows):
         sets += 1 << (reach >> (t + 1)).bit_count()
         reach |= row
-    if cap is not None and sets > cap:
+    if sets > cap:
         return sets
-    stop = None if cap is None else cap // max(sets, 1) + 1
-    return sets * sum(1 for _ in islice(_clique_sides(rows, inc), stop))
+    work = 0
+    for _ in _clique_sides(rows, inc):
+        work += sets
+        if work > cap:
+            break
+    return work
 
 
 def co_unipolar_family(g: Graph) -> List[int]:
     """The co-unipolar-maximal edge sets of g, ascending."""
     inc = incident_edges(g)
-    active = _active(g)
+    active = neighbourhood(g.rows, (1 << g.n) - 1)
     co = [~row & active & ~(1 << v) for v, row in enumerate(g.rows)]
     candidates: List[int] = []
     a = active
     while True:
-        touch_a = 0
-        m = a
-        while m:
-            b = m & -m
-            m ^= b
-            touch_a |= inc[b.bit_length() - 1]
         # once: edges touching the rest; twice: edges between two
         # components of complement(G)[rest]
         once = twice = 0
-        left = active & ~a
-        while left:
-            comp = frontier = left & -left
-            while frontier:
-                nxt = 0
-                while frontier:
-                    b = frontier & -frontier
-                    frontier ^= b
-                    nxt |= co[b.bit_length() - 1]
-                frontier = nxt & left & ~comp
-                comp |= frontier
-            left &= ~comp
-            touch = 0
-            while comp:
-                b = comp & -comp
-                comp ^= b
-                touch |= inc[b.bit_length() - 1]
+        for comp in components(co, active & ~a):
+            touch = neighbourhood(inc, comp)
             twice |= once & touch
             once |= touch
-        candidates.append(touch_a & once | twice)
+        candidates.append(neighbourhood(inc, a) & once | twice)
         if not a:
             break
         a = (a - 1) & active
     return maximal_masks(candidates)
 
 
-def co_unipolar_work(g: Graph) -> int:
-    """Predicted work of co_unipolar_family: one candidate per vertex set."""
-    return 1 << _active(g).bit_count()
+def co_unipolar_work(g: Graph, cap: int) -> int:
+    """Predicted work of co_unipolar_family: one candidate per vertex set,
+    exact whatever the cap."""
+    return 1 << neighbourhood(g.rows, (1 << g.n) - 1).bit_count()

@@ -6,16 +6,20 @@ graph6 decoder, row validator and DSATUR search are the one-bit-at-a-time
 versions the packed and incremental code replaced, kept as references for
 identical results and messages.  The naive_check_* witness checkers walk
 the edge list and compare vertex pairs, as the mask checks they were
-replaced by must agree with.
+replaced by must agree with.  naive_bipartition_rows (vertex by vertex
+two-colouring) and naive_components (vertex by vertex component walk)
+are the searches the layered frontier walks of graphs.components and
+bipartition_rows replaced.
 """
 
+import random
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Tuple
 
 from covernum import CapacityError, Graph, ParseError, complement, make_graph
 from covernum.graphs import MAX_VERTICES, induced_rows
-from covernum.invariants import chi_of_rows, omega_of_rows
+from covernum.invariants import chromatic_number, omega_of_rows
 from covernum.recognizers import class_f, cluster_components
 
 
@@ -62,7 +66,7 @@ def naive_unipolar(g: Graph) -> bool:
 
 @lru_cache(maxsize=None)
 def _chi_omega(k: int, rows: tuple) -> tuple:
-    return chi_of_rows(k, rows), omega_of_rows(k, rows)
+    return chromatic_number(Graph(k, rows))[0], omega_of_rows(k, rows)
 
 
 def naive_perfect(g: Graph) -> bool:
@@ -109,6 +113,30 @@ def gnp_graph(rng, n: int, p: float) -> Graph:
     """Random graph on n vertices, each pair an edge with chance p."""
     return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rng.random() < p])
+
+
+def planted_bipartite_hosts(seed: int, count: int):
+    """count random hosts on 16-64 vertices: up to four planted bipartite
+    blocks with isolated vertices among them, half of them made
+    near-bipartite by one extra edge inside a side."""
+    rng = random.Random(seed)
+    hosts = []
+    for _ in range(count):
+        n = rng.randint(16, 64)
+        blocks = rng.randint(1, 4)
+        # place[v]: None for an isolated vertex, else (block, side)
+        place = [None if rng.random() < 0.15 else (rng.randrange(blocks), rng.randrange(2))
+                 for _ in range(n)]
+        p = rng.uniform(0.05, 0.5)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if place[u] and place[v] and place[u][0] == place[v][0]
+                 and place[u][1] != place[v][1] and rng.random() < p]
+        same = [(u, v) for u, v in combinations(range(n), 2)
+                if place[u] and place[u] == place[v]]
+        if same and rng.random() < 0.5:
+            edges.append(rng.choice(same))
+        hosts.append(make_graph(n, edges))
+    return hosts
 
 
 def naive_check_rows(n: int, rows) -> None:
@@ -345,3 +373,57 @@ def naive_check_witness(g: Graph, spec, witness) -> bool:
         if kind not in ("unipolar", "co-unipolar"):
             return False
     return _NAIVE_CHECKS[kind](g, spec, witness)
+
+
+def naive_bipartition_rows(n: int, rows):
+    """Two-coloring by BFS, sides as vertex masks; side 0 gets each
+    component's least vertex."""
+    side = [-1] * n
+    mask0 = mask1 = 0
+    for s in range(n):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        mask0 |= 1 << s
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                m = rows[v]
+                while m:
+                    u = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    if side[u] < 0:
+                        side[u] = side[v] ^ 1
+                        if side[u]:
+                            mask1 |= 1 << u
+                        else:
+                            mask0 |= 1 << u
+                        nxt.append(u)
+                    elif side[u] == side[v]:
+                        return None
+            frontier = nxt
+    return mask0, mask1
+
+
+def naive_components(n: int, rows):
+    """Connected components as vertex masks, ordered by least vertex."""
+    seen = 0
+    comps = []
+    for v in range(n):
+        if seen >> v & 1:
+            continue
+        frontier = 1 << v
+        comp = 0
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            m = frontier
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                nxt |= rows[u]
+            frontier = nxt & ~comp
+        comps.append(comp)
+        seen |= comp
+    return comps

@@ -139,6 +139,7 @@ def test_criterion_5_hypercube_bounds(report_line):
     ok = cube["passed"] and arith["passed"]
     report_line(5, ok, "direction covers valid for d <= 6; Q3 max 8; integer bound sweep to 62", t0)
     assert ok, (cube["failures"], arith["failures"])
+    assert _sha256(cube) == "4c3d5fe61f7f7b7faaebf645fb002ed6df14fdde36dba6554bb3dd2b7a6fa393"
 
 
 def test_criterion_6_disjoint_complete_covers(report_line):

@@ -15,10 +15,11 @@ from covernum import (
     make_graph,
     spanning_subgraph,
 )
-from covernum.graphs import bits_of, edge_index
+from covernum.generators import all_graphs
+from covernum.graphs import bits_of, components, edge_index, neighbourhood
 from covernum.recognizers import parse_class_spec
 from covernum.solver import exact_cover_number
-from oracles import gnp_graph, naive_check_rows
+from oracles import gnp_graph, naive_check_rows, naive_components, planted_bipartite_hosts
 
 
 def test_make_graph_basics():
@@ -194,3 +195,23 @@ def test_edge_set_roundtrip(g):
     es = full_edge_set(g)
     assert edge_set_of(g, es.edges()) == es
     assert spanning_subgraph(g, es) == g
+
+
+def test_components_match_the_vertex_walk():
+    for n in range(7):
+        for g in all_graphs(n):
+            assert components(g.rows, (1 << n) - 1) == naive_components(n, g.rows), g
+    # on a random vertex mask: the components of the graph induced on it
+    rng = random.Random(89)
+    hosts = planted_bipartite_hosts(97, 100)
+    hosts += [gnp_graph(rng, rng.randint(1, 64), rng.uniform(0.01, 0.3)) for _ in range(100)]
+    for g in hosts:
+        for _ in range(5):
+            mask = rng.getrandbits(g.n)
+            induced = [row & mask if mask >> v & 1 else 0 for v, row in enumerate(g.rows)]
+            expected = [c for c in naive_components(g.n, induced) if c & mask]
+            assert components(g.rows, mask) == expected, (g, mask)
+            union = 0
+            for v in bits_of(mask):
+                union |= g.rows[v]
+            assert neighbourhood(g.rows, mask) == union

@@ -27,14 +27,23 @@ from covernum.covers import CoverCertificate
 from covernum.generators import all_graphs, kKl, random_graphs
 from covernum.graphs import complement_rows, full_edge_set
 from covernum.invariants import CliqueWitness, Coloring, check_clique, check_coloring
-from covernum.recognizers import CLASS_KINDS, FSpec, find_odd_hole, identity_f, membership_fn
+from covernum.recognizers import (
+    CLASS_KINDS,
+    FSpec,
+    bipartition_rows,
+    find_odd_hole,
+    identity_f,
+    membership_fn,
+)
 from oracles import (
+    naive_bipartition_rows,
     naive_check_clique,
     naive_check_coloring,
     naive_check_witness,
     naive_odd_hole,
     naive_perfect,
     naive_unipolar,
+    planted_bipartite_hosts,
 )
 
 ALL_SPECS = [parse_class_spec(t) for t in (
@@ -107,6 +116,15 @@ def test_bipartite_cycles():
     assert sides is not None
     assert sides[0] | sides[1] == 0b1111
     assert sides[0] & sides[1] == 0
+
+
+def test_bipartition_by_layers_matches_the_vertex_walk():
+    # same sides, side 0 holding each component's least vertex, or None
+    hosts = [g for n in range(7) for g in all_graphs(n)]
+    hosts += planted_bipartite_hosts(83, 200)
+    assert any(any(g.rows) and not all(g.rows) for g in hosts[-200:])
+    for g in hosts:
+        assert bipartition_rows(g.n, g.rows) == naive_bipartition_rows(g.n, g.rows), g
 
 
 def test_cluster_recognition():

@@ -241,7 +241,7 @@ def test_unipolar_subgraph_size_past_the_edge_budget(monkeypatch):
         assert max_class_subgraph_size(parse_family_spec(text), spec) == most, text
     # past the budget, predicted work decides, before any recursion runs
     g = random_graphs(24, 1, 5)[0]
-    assert unipolar_work(g) > 1 << 25
+    assert unipolar_work(g, 1 << 62) > 1 << 25
     monkeypatch.setattr("covernum.solver.unipolar_max_edges", None)
     with pytest.raises(BudgetError):
         max_class_subgraph_size(g, spec)
@@ -257,11 +257,20 @@ def test_unipolar_gate_rejects_dense_hosts_before_the_clique_walk(monkeypatch):
             max_class_subgraph_size(g, spec)
 
 
+def test_unipolar_gate_takes_caps_past_sys_maxsize():
+    # kKl(16, 4) has 96 edges; past a budget of 62 the cap 2^max_edges
+    # divided by the vertex-set factor no longer fits a machine word
+    g = kKl(16, 4)
+    spec = parse_class_spec("unipolar")
+    for max_edges in (22, 62, 80, 200):
+        assert max_class_subgraph_size(g, spec, SolveBudget(max_edges=max_edges)) == 96
+
+
 def test_unipolar_work_cap_is_exact_up_to_the_cap():
     hosts = [cycle(23), complete(8), hypercube(4), parse_family_spec("far:1,2")]
     hosts += random_graphs(12, 4, 9) + random_graphs(24, 1, 5)
     for g in hosts:
-        work = unipolar_work(g)
+        work = unipolar_work(g, 1 << 62)
         for cap in (0, 1, work // 3, work - 1, work, work + 1, 1 << 22):
             capped = unipolar_work(g, cap)
             assert capped == work if work <= cap else capped > cap, (g, cap)
@@ -340,9 +349,11 @@ def test_inclusion_maximal_sink():
     assert maximal_masks(masks) == expected
 
 
-def test_route_choice_follows_predicted_work():
+def test_route_choice_follows_predicted_work(monkeypatch):
     import random
+    from dataclasses import replace
 
+    from covernum.recognizers import CLASSES, Family
     from covernum.solver import _cheapest_route
 
     res = exact_cover_number(parse_graph6("GzcQlw"), parse_class_spec("unipolar"))
@@ -355,6 +366,18 @@ def test_route_choice_follows_predicted_work():
     for text in ("co-unipolar", "gsp"):
         assert _cheapest_route(sparse, parse_class_spec(text))[0] == "subset", text
     assert _cheapest_route(sparse, parse_class_spec("unipolar"))[0] == "structural"
+    # structural work is predicted with cap 2^m; a cap of 2^62, past every
+    # host's real work here, must pick the same route
+    hosts = _split_class_hosts()
+    for text in ("unipolar", "co-unipolar", "gsp"):
+        spec = parse_class_spec(text)
+        chosen = [_cheapest_route(g, spec)[0] for g in hosts]
+        entry = CLASSES[text]
+        wide = Family(entry.family.generate, lambda g, cap: entry.family.work(g, 1 << 62))
+        with monkeypatch.context() as m:
+            m.setitem(CLASSES, text, replace(entry, family=wide))
+            assert [_cheapest_route(g, spec)[0] for g in hosts] == chosen, text
+        assert {"structural", "subset"} <= set(chosen), text
 
 
 def test_partition_filter_keeps_only_members():

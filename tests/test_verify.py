@@ -74,6 +74,12 @@ def test_arithmetic_suite_sweep():
     assert _sha256(report) == "72ff0830436e41817d5838d7b009e505215341ac2754c858af0fc32e25e62a4a"
 
 
+def test_inclusion_suite_default_report():
+    report = suite_inclusion()
+    assert report["passed"]
+    assert _sha256(report) == "31dba76cf621904003db1b94c70665476457d7552c0ba6016f6f4f702505840a"
+
+
 def test_hypercube_suite_records():
     report = suite_hypercube(n_max=4)
     assert report["passed"]
