@@ -20,9 +20,9 @@ from .formats import ParseError, emit_graph6, parse_graph
 from .generators import parse_family_spec
 from .graphs import CapacityError, Graph
 from .invariants import chromatic_number, clique_number
-from .recognizers import class_f, in_class, is_perfect, parse_class_spec
+from .recognizers import CLASSES, class_f, in_class, is_perfect, parse_class_spec
 from .solver import BudgetError, SolveBudget, decide_cover, exact_cover_number
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
@@ -149,6 +149,13 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
                    default=None, help="force input format instead of auto-detect")
 
 
+def _class_forms(constructive: bool = False) -> list:
+    """Each registry kind as --class takes it, with its parameter; only the
+    colouring classes, which have a cover formula, where constructive."""
+    return [kind if entry.param is None else f"{kind}:<{entry.param}>"
+            for kind, entry in CLASSES.items() if entry.f is not None or not constructive]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covernum",
@@ -169,15 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", help="class membership with witness")
     _add_input_args(p)
     p.add_argument("--class", dest="cls", required=True,
-                   help="bipartite | chi-le:<k> | chi-le-f:<f> | chi-eq-omega | "
-                        "perfect | unipolar | co-unipolar | gsp")
+                   help=" | ".join(_class_forms()))
     p.set_defaults(fn=_cmd_recognize)
 
     p = sub.add_parser("cover", help="formula-sized cover by construction")
     _add_input_args(p)
     p.add_argument("--class", dest="cls", required=True,
-                   help="constructive classes: bipartite, chi-le:<k>, chi-le-f:<f>, "
-                        "chi-eq-omega")
+                   help="constructive classes: " + ", ".join(_class_forms(constructive=True)))
     p.set_defaults(fn=_cmd_cover)
 
     p = sub.add_parser("solve", help="exact minimum cover by enumeration")
@@ -190,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("verify", help="run a cross-checking suite")
-    p.add_argument("suite", help="hhm | chibound | chain | far3 | hypercube | "
-                                 "arithmetic | inclusion")
+    p.add_argument("suite", help=" | ".join(SUITES))
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

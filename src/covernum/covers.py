@@ -68,18 +68,32 @@ def witnessed_cover(g: Graph, spec: ClassSpec, masks: Sequence[int]) -> CoverCer
     return CoverCertificate(g, spec, parts, tuple(wits), len(parts))
 
 
-def digit_layout(g: Graph, f: Callable[[int], int]) -> Tuple[Coloring, int, Tuple[int, ...]]:
-    """What the formula cover of g for f is built from: an optimal
+def no_member_covers(g: Graph, spec: ClassSpec, j: int) -> ValueError:
+    """The error for a host whose edge j lies in no member of spec."""
+    u, v = edge_index(g)[j]
+    return ValueError(f"class {spec} has no member covering edge ({u}, {v})")
+
+
+def digit_layout(g: Graph, spec: ClassSpec) -> Tuple[Coloring, int, Tuple[int, ...]]:
+    """What the formula cover of g for spec's f is built from: an optimal
     colouring, the digit base f(omega), and the maximum clique whose
     colours get constant digit strings (empty where plain digits keep
-    every part a member).  For f = identity the base is omega itself."""
+    every part a member).  For f = identity the base is omega itself.
+
+    A base below 2 on a host with an edge raises: f(omega) < 2 then holds
+    for every subgraph with an edge, so no member covers one."""
+    f = class_f(spec)
     chi, coloring = chromatic_number(g)
     low = f(1)
     if chi <= 1 or flat_upto(f, chi):  # f is flat up to omega <= chi
-        return coloring, low, ()
-    omega, witness = clique_number(g)
-    base = f(omega)
-    return coloring, base, tuple(sorted(witness.vertices)) if base > low else ()
+        base, clique = low, ()
+    else:
+        omega, witness = clique_number(g)
+        base = f(omega)
+        clique = tuple(sorted(witness.vertices)) if base > low else ()
+    if base < 2 and g.edge_count:
+        raise no_member_covers(g, spec, 0)
+    return coloring, base, clique
 
 
 def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
@@ -123,16 +137,13 @@ def formula_cover(g: Graph, spec: ClassSpec) -> CoverCertificate:
     so it is a member.  Otherwise the clique's constant strings give each
     part the clique number of g, and with it the bound f(omega).
     """
-    f = class_f(spec)
-    if f is None:
+    if class_f(spec) is None:
         raise ValueError(f"class {spec} is not of the form chi <= f(omega)")
-    return digit_cover(g, spec, *digit_layout(g, f))
+    return digit_cover(g, spec, *digit_layout(g, spec))
 
 
 def chi_le_k_cover(g: Graph, k: int) -> CoverCertificate:
     """Cover by ceil(log_k chi) many k-colorable spanning subgraphs."""
-    if k < 2:
-        raise ValueError(f"digit base k must be >= 2, got {k}")
     return formula_cover(g, ClassSpec("chi-le", k=k))
 
 

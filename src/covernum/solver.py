@@ -24,15 +24,18 @@ compare the sweep with the formulas.
 Three family generators, all exact:
 
 * subset sweep, for every class: test every edge subset (gray-code
-  incremental adjacency), then mark subsets with a member superset by a
-  downward DP.  Predicted work 2^m membership tests.
+  incremental adjacency) into one table, then a downward DP turns each
+  entry, once read, into "some superset is a member".  Predicted work 2^m
+  membership tests.
 * partition sweep, for the colouring classes (bipartite, chi-le,
   chi-le-f, chi-eq-omega): a maximal member M with color bound b carries
   a proper coloring c with at most b colors, and the bichromatic edge
   set of c is a member containing M, hence equal to M.  So maximal
   members all arise as bichromatic sets of vertex partitions into at
   most f(omega(G)) blocks, of which there are far fewer than 2^m on
-  dense graphs.  Predicted work: the number of those partitions.
+  dense graphs.  The vertices are placed one at a time, each adding its
+  bichromatic edges back to earlier vertices, so a partition's edge set
+  is built as it is.  Predicted work: the number of those partitions.
 * structural, for the classes whose registry entry declares a family
   (unipolar, co-unipolar, and gsp as their union): the maximal members
   are built from cliques and vertex sets of the host (see
@@ -52,9 +55,9 @@ for unipolar runs structural.unipolar_max_edges instead of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .covers import CoverCertificate, digit_cover, digit_layout, witnessed_cover
+from .covers import CoverCertificate, digit_cover, digit_layout, no_member_covers, witnessed_cover
 from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows
 from .invariants import ceil_log, chromatic_number, first_fit_colors, omega_of_rows
 from .recognizers import CLASSES, ClassSpec, class_f, color_bound, membership_fn
@@ -72,6 +75,10 @@ class BudgetError(RuntimeError):
 @dataclass(frozen=True)
 class SolveBudget:
     max_edges: int = 22  # subset sweep cap: 2^22 membership tests worst case
+
+    def __post_init__(self) -> None:
+        if self.max_edges < 0:
+            raise ValueError(f"edge budget must be >= 0, got {self.max_edges}")
 
 
 @dataclass
@@ -102,40 +109,35 @@ def _partitions_upto(n: int, k: int) -> int:
     return sum(row)
 
 
-def _rgs(n: int, k: int) -> Iterator[List[int]]:
-    """Restricted growth strings: partitions of 0..n-1 into <= k blocks."""
-    if n == 0:
-        yield []
-        return
-    a = [0] * n
-
-    def rec(i: int, mx: int) -> Iterator[List[int]]:
-        if i == n:
-            yield a
-            return
-        top = min(mx + 1, k - 1)
-        for c in range(top + 1):
-            a[i] = c
-            yield from rec(i + 1, mx if c <= mx else c)
-
-    yield from rec(1, 0)
-
-
 def _partition_family(
     g: Graph, spec: ClassSpec, bound: int, active: List[int]
 ) -> List[int]:
     """Candidate masks from vertex partitions, membership-filtered unless
-    every candidate is a member by construction."""
-    idx = edge_index(g)
+    every candidate is a member by construction.
+
+    The active vertices are placed in order, each into a block already
+    used or the next one, up to bound blocks; a vertex adds its edges back
+    to earlier vertices in other blocks as it is placed."""
     pos = {v: i for i, v in enumerate(active)}
-    pairs = [(pos[u], pos[v]) for u, v in idx]
+    back: List[List[Tuple[int, int]]] = [[] for _ in active]
+    for j, (u, v) in enumerate(edge_index(g)):
+        back[pos[v]].append((pos[u], 1 << j))
+    block = [0] * len(active)
     masks: Set[int] = set()
-    for a in _rgs(len(active), bound):
-        mask = 0
-        for j, (iu, iv) in enumerate(pairs):
-            if a[iu] != a[iv]:
-                mask |= 1 << j
-        masks.add(mask)
+
+    def place(i: int, used: int, mask: int) -> None:
+        if i == len(active):
+            masks.add(mask)
+            return
+        for b in range(min(used + 1, bound)):
+            block[i] = b
+            cut = mask
+            for k, bit in back[i]:
+                if block[k] != b:
+                    cut |= bit
+            place(i + 1, max(used, b + 1), cut)
+
+    place(0, 0, 0)
     # A candidate's partition colours it with at most bound colours, and
     # bound <= f(1) <= f(omega(candidate)) makes it a member.
     if class_f(spec)(1) < bound:
@@ -168,8 +170,8 @@ def _subset_family(g: Graph, spec: ClassSpec) -> List[int]:
             rows[v] &= ~(1 << u)
         member[gray] = 1 if member_fn(n, rows) else 0
         prev = gray
-    # up[s]: some superset of s (possibly s itself) is a member
-    up = bytearray(total)
+    # Falling s visits every superset of s first, so once member[s] is read
+    # it can hold "some superset of s (possibly s itself) is a member".
     full = total - 1
     maximal: List[int] = []
     for s in range(full, -1, -1):
@@ -178,15 +180,14 @@ def _subset_family(g: Graph, spec: ClassSpec) -> List[int]:
         while rem:
             b = rem & -rem
             rem ^= b
-            if up[s | b]:
+            if member[s | b]:
                 above = 1
                 break
         if member[s]:
-            up[s] = 1
             if not above:
                 maximal.append(s)
         else:
-            up[s] = above
+            member[s] = above
     maximal.reverse()
     return maximal
 
@@ -236,20 +237,17 @@ def _min_set_cover(
     universe: int, sets: List[int], cap: Optional[int], stats: SolveStats
 ) -> Optional[List[int]]:
     """Smallest selection of sets covering the universe, or None under cap.
+    The universe is non-empty and the sets cover it.
 
     Branches on the uncovered element in fewest sets; prunes with the
     greedy upper bound and a coverage-ratio lower bound.
     """
-    if universe == 0:
-        return []
     elems = bits_of(universe)
     covering: Dict[int, List[int]] = {e: [] for e in elems}
     for i, s in enumerate(sets):
         for e in elems:
             if s >> e & 1:
                 covering[e].append(i)
-    if any(not covering[e] for e in elems):
-        return None
 
     # greedy upper bound, most new coverage first, ties to the lower index
     unc = universe
@@ -264,12 +262,8 @@ def _min_set_cover(
                 best_i = i
         greedy.append(best_i)
         unc &= ~sets[best_i]
-    best: Optional[List[int]] = greedy
-    limit = len(greedy)
-    if cap is not None and cap < limit:
-        limit = cap
-        if len(greedy) > cap:
-            best = None
+    limit = len(greedy) if cap is None else min(len(greedy), cap)
+    best = greedy if len(greedy) <= limit else None
 
     chosen: List[int] = []
 
@@ -305,15 +299,8 @@ def _min_set_cover(
             dfs(unc & ~sets[i])
             chosen.pop()
 
-    dfs(universe)
-    if best is not None and cap is not None and len(best) > cap:
-        return None
+    dfs(universe)  # records only covers of at most limit <= cap sets
     return best
-
-
-def _no_member_covers(g: Graph, spec: ClassSpec, j: int) -> ValueError:
-    u, v = edge_index(g)[j]
-    return ValueError(f"class {spec} has no member covering edge ({u}, {v})")
 
 
 Bounds = Tuple[int, Optional[int], Optional[Callable[[], CoverCertificate]]]
@@ -323,11 +310,8 @@ def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int], budget: SolveBudget) 
     """(lower, upper, cover): lower <= cover number <= upper for g, a host
     with an edge outside the class, and a maker of a cover by upper parts.
     upper is None where no formula bounds the class from above."""
-    f = class_f(spec)
-    if f is not None:
-        coloring, base, clique = digit_layout(g, f)
-        if base < 2:  # f(omega) < 2: no subgraph of g with an edge is a member
-            raise _no_member_covers(g, spec, 0)
+    if class_f(spec) is not None:
+        coloring, base, clique = digit_layout(g, spec)
         value = ceil_log(base, coloring.count)
         return value, value, lambda: digit_cover(g, spec, coloring, base, clique)
     holds_bipartite = CLASSES[spec.kind].holds_bipartite
@@ -384,7 +368,7 @@ def _solve(
         covered |= mask
     if covered != universe:
         missing = universe & ~covered
-        raise _no_member_covers(g, spec, (missing & -missing).bit_length() - 1)
+        raise no_member_covers(g, spec, (missing & -missing).bit_length() - 1)
     picked = _min_set_cover(universe, family, cap, stats)
     if picked is None:
         return None

@@ -27,7 +27,7 @@ the masks ascending, as the subset sweep does.
 `maximal_masks`, the structural and partition routes' sink, finds the
 inclusion-maximal masks of a list through an inverted index from each edge
 to the kept masks that hold it.  The subset sweep keeps its bytearray DP:
-at m = 22 its members could be 4M Python ints, its bytearrays take 8 MB.
+at m = 22 its members could be 4M Python ints, its one bytearray takes 4 MB.
 """
 
 from __future__ import annotations

@@ -9,18 +9,23 @@ the edge list and compare vertex pairs, as the mask checks they were
 replaced by must agree with.  naive_bipartition_rows (vertex by vertex
 two-colouring) and naive_components (vertex by vertex component walk)
 are the searches the layered frontier walks of graphs.components and
-bipartition_rows replaced.
+bipartition_rows replaced.  naive_partition_family (restricted growth
+strings, every edge rescanned per partition) and naive_subset_family (a
+second table for "some superset is a member") are the solver's family
+generators before partitions were placed vertex by vertex and the sweep
+kept one table.
 """
 
 import random
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Tuple
+from typing import Iterator, List, Tuple
 
 from covernum import CapacityError, Graph, ParseError, complement, make_graph
-from covernum.graphs import MAX_VERTICES, induced_rows
+from covernum.graphs import MAX_VERTICES, edge_index, induced_rows, mask_rows
 from covernum.invariants import chromatic_number, omega_of_rows
-from covernum.recognizers import class_f, cluster_components
+from covernum.recognizers import class_f, cluster_components, membership_fn
+from covernum.structural import maximal_masks
 
 
 def brute_chromatic(g: Graph) -> int:
@@ -427,3 +432,89 @@ def naive_components(n: int, rows):
         comps.append(comp)
         seen |= comp
     return comps
+
+
+def _rgs(n: int, k: int) -> Iterator[List[int]]:
+    """Restricted growth strings: partitions of 0..n-1 into <= k blocks."""
+    if n == 0:
+        yield []
+        return
+    a = [0] * n
+
+    def rec(i: int, mx: int) -> Iterator[List[int]]:
+        if i == n:
+            yield a
+            return
+        top = min(mx + 1, k - 1)
+        for c in range(top + 1):
+            a[i] = c
+            yield from rec(i + 1, mx if c <= mx else c)
+
+    yield from rec(1, 0)
+
+
+def naive_partition_family(g: Graph, spec, bound: int, active) -> List[int]:
+    """The cut masks of every partition of active into at most bound
+    blocks, membership-filtered unless bound <= f(1), then maximal."""
+    idx = edge_index(g)
+    pos = {v: i for i, v in enumerate(active)}
+    pairs = [(pos[u], pos[v]) for u, v in idx]
+    masks = set()
+    for a in _rgs(len(active), bound):
+        mask = 0
+        for j, (iu, iv) in enumerate(pairs):
+            if a[iu] != a[iv]:
+                mask |= 1 << j
+        masks.add(mask)
+    if class_f(spec)(1) < bound:
+        member = membership_fn(spec)
+        masks = {mask for mask in masks if member(g.n, mask_rows(g, mask))}
+    return maximal_masks(masks)
+
+
+def naive_subset_family(g: Graph, spec) -> List[int]:
+    """Every edge subset tested in gray-code order, then the maximal
+    members by a downward pass over a second table, up[s]: some superset
+    of s (possibly s itself) is a member."""
+    idx = edge_index(g)
+    m = len(idx)
+    member_fn = membership_fn(spec)
+    n = g.n
+    rows = [0] * n
+    total = 1 << m
+    member = bytearray(total)
+    member[0] = 1 if member_fn(n, rows) else 0
+    prev = 0
+    for i in range(1, total):
+        gray = i ^ (i >> 1)
+        diff = gray ^ prev
+        j = diff.bit_length() - 1
+        u, v = idx[j]
+        if gray & diff:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        else:
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+        member[gray] = 1 if member_fn(n, rows) else 0
+        prev = gray
+    up = bytearray(total)
+    full = total - 1
+    maximal = []
+    for s in range(full, -1, -1):
+        rem = full & ~s
+        above = 0
+        while rem:
+            b = rem & -rem
+            rem ^= b
+            if up[s | b]:
+                above = 1
+                break
+        if member[s]:
+            up[s] = 1
+            if not above:
+                maximal.append(s)
+        else:
+            up[s] = above
+    maximal.reverse()
+    return maximal

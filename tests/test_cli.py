@@ -341,3 +341,40 @@ def test_verify_accepts_corpus_flags(capsys):
     assert code == 0
     assert data["params"]["n_max"] == 3
     assert data["params"]["seed"] == 5
+
+
+def test_solve_rejects_a_negative_edge_budget(capsys, tmp_path):
+    # K4 is co-unipolar, so it answers without the budget; C5 is not unipolar
+    for text, cls in (("C~", "co-unipolar"), ("Dhc", "unipolar")):
+        path = write_graph(tmp_path, text)
+        code, out, err = run(capsys, "solve", "--class", cls, "--max-edges", "-1", path)
+        assert (code, out) == (2, "")
+        assert err == "error: edge budget must be >= 0, got -1\n"
+
+
+def test_cover_and_solve_agree_where_no_member_covers_an_edge(capsys, tmp_path):
+    path = write_graph(tmp_path, "A_")  # K2
+    for command in ("cover", "solve"):
+        code, out, err = run(capsys, command, "--class", "chi-le:1", path)
+        assert (code, out) == (2, "")
+        assert err == "error: class chi-le:1 has no member covering edge (0, 1)\n"
+    code, data, _ = run_json(capsys, "cover", "--class", "chi-le:1", write_graph(tmp_path, "A?"))
+    assert (code, data["parts"]) == (0, [])
+
+
+def test_help_lists_every_class_and_suite(capsys, monkeypatch):
+    from covernum.recognizers import CLASSES
+    from covernum.verify import SUITES
+
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option, no wrapping
+    helps = {}
+    for command in ("recognize", "cover", "verify"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        helps[command] = capsys.readouterr().out
+    for kind, entry in CLASSES.items():
+        form = kind if entry.param is None else f"{kind}:<{entry.param}>"
+        assert f" {form} " in helps["recognize"] or f" {form}\n" in helps["recognize"], kind
+        assert (form in helps["cover"]) == (entry.f is not None), kind
+    for suite in SUITES:
+        assert f" {suite} " in helps["verify"] or f" {suite}\n" in helps["verify"], suite

@@ -75,8 +75,9 @@ def test_chi_le_k_cover():
     cert = chi_le_k_cover(g, 3)
     assert len(cert.parts) == 2
     assert check_certificate(g, cert)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no member covering edge"):
         chi_le_k_cover(g, 1)
+    assert chi_le_k_cover(make_graph(3, []), 1).parts == ()
 
 
 def test_chibound_cover_identity():

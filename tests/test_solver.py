@@ -1,10 +1,12 @@
 from itertools import combinations
 
 import pytest
+from oracles import naive_partition_family, naive_subset_family
 
 from covernum import (
     BudgetError,
     SolveBudget,
+    certificate_to_json,
     check_certificate,
     complete,
     cycle,
@@ -32,6 +34,12 @@ SPECS = [parse_class_spec(t) for t in (
     "bipartite", "chi-le:2", "chi-le:3", "chi-le-f:identity",
     "chi-eq-omega", "perfect", "unipolar", "co-unipolar", "gsp",
 )]
+
+# The benchmark ladder's pinned 8-vertex hosts (bench/data/ladder_pins.json).
+LADDER_HOSTS = (
+    "G?Mu@W", "GCfbGO", "GDPJIO", "GGuSHW", "GHOkMs", "GL]?DS", "GPadM_", "GWLAe_", "GWbQQC",
+    "G_loAc", "Gag}G?", "GbogFO", "GdKI[_", "GiBJ`?", "GlLBR?", "GoBG[c", "GsOWd_", "GzcQlw",
+)
 
 
 def brute_maximal_masks(g, spec):
@@ -162,6 +170,16 @@ def test_edge_budget_enforced():
         exact_cover_number(q3, spec, SolveBudget(max_edges=11))
     res = exact_cover_number(q3, spec, SolveBudget(max_edges=12))
     assert res.value == 2
+
+
+def test_negative_edge_budget_is_rejected():
+    with pytest.raises(ValueError, match="edge budget must be >= 0, got -1"):
+        SolveBudget(max_edges=-1)
+    # a budget of 0 answers only what needs no enumeration
+    zero = SolveBudget(max_edges=0)
+    assert exact_cover_number(cycle(5), parse_class_spec("bipartite"), zero).value == 2
+    with pytest.raises(BudgetError):
+        max_class_subgraph_size(cycle(5), parse_class_spec("unipolar"), zero)
 
 
 def test_budget_fails_before_the_chromatic_number(monkeypatch):
@@ -306,6 +324,38 @@ def test_partition_and_subset_routes_agree():
             assert via_partitions == via_subsets, (g, str(spec))
 
 
+COLOURING_SPECS = SPECS[:5]
+
+
+def test_partition_family_matches_its_oracle():
+    from covernum.recognizers import color_bound
+    from covernum.solver import _partition_family
+
+    hosts = [g for n in range(6) for g in all_graphs(n)]
+    hosts += random_graphs(6, 12, 83) + random_graphs(7, 8, 89) + random_graphs(8, 6, 97)
+    for g in hosts:
+        active = [v for v in range(g.n) if g.rows[v]]
+        for spec in COLOURING_SPECS:
+            bound = color_bound(g, spec, len(active))
+            assert _partition_family(g, spec, bound, active) == \
+                naive_partition_family(g, spec, bound, active), (g, str(spec))
+
+
+def test_subset_family_matches_its_oracle():
+    # 2^m membership tests per host and generator: every 5-vertex graph
+    # under the cheapest test, the five specs on smaller and seeded hosts
+    from covernum.solver import _subset_family
+
+    bipartite = COLOURING_SPECS[0]
+    for g in (g for n in range(6) for g in all_graphs(n)):
+        assert _subset_family(g, bipartite) == naive_subset_family(g, bipartite), g
+    hosts = [g for n in range(5) for g in all_graphs(n)]
+    hosts += random_graphs(5, 12, 83) + random_graphs(6, 8, 89) + random_graphs(7, 4, 97)
+    for g in hosts:
+        for spec in COLOURING_SPECS:
+            assert _subset_family(g, spec) == naive_subset_family(g, spec), (g, str(spec))
+
+
 def _split_class_hosts():
     """Every graph on up to 6 vertices up to isomorphism, then random 7-
     and 8-vertex hosts whose 5 or 6 non-isolated vertices sit among
@@ -336,6 +386,18 @@ def test_structural_and_subset_routes_agree():
         family = CLASSES[text].family
         for g in hosts:
             assert family.generate(g) == _subset_family(g, spec), (g, text)
+
+
+def test_set_cover_keeps_within_the_cap():
+    from covernum.solver import SolveStats, _min_set_cover
+
+    # greedy takes the 4-element set first and needs 3 sets; 2 suffice
+    sets = [0b011011, 0b000111, 0b111000]
+    for cap in (None, 3, 2):
+        assert _min_set_cover(0b111111, sets, cap, SolveStats()) == [1, 2], cap
+    stats = SolveStats()
+    assert _min_set_cover(0b111111, sets, 1, stats) is None
+    assert stats.nodes == 1
 
 
 def test_inclusion_maximal_sink():
@@ -420,3 +482,30 @@ def test_bounds_fall_back_to_the_sweep_where_they_differ():
         res = exact_cover_number(g, parse_class_spec(text))
         assert res.stats.method == method, text
         assert res.value == 2
+
+
+def test_solver_outputs_are_pinned():
+    # One sha256 over the exact and sweep results and the decision one
+    # below the value: any change to a value, method, family size, node
+    # count, witness or part order changes it.
+    import hashlib
+    import json
+
+    def result(res):
+        return [res.value, res.stats.method, res.stats.family_size, res.stats.nodes,
+                certificate_to_json(res.certificate)]
+
+    hosts = [parse_graph6(text) for text in LADDER_HOSTS]
+    hosts += [g for n in range(5) for g in all_graphs(n)]
+    hosts += random_graphs(7, 20, 20261018)
+    digest = hashlib.sha256()
+    methods = set()
+    for g in hosts:
+        for spec in SPECS:
+            exact, sweep = exact_cover_number(g, spec), sweep_cover_number(g, spec)
+            below = decide_cover(g, spec, exact.value - 1)
+            methods |= {exact.stats.method, sweep.stats.method}
+            digest.update(json.dumps([result(exact), result(sweep),
+                                      below and certificate_to_json(below)]).encode())
+    assert {"host-member", "formula", "bounds", "structural", "partition", "subset"} <= methods
+    assert digest.hexdigest() == "a7d4fe27d245e4290cf490c7b177e8fd02c04bf24e5db9edcdb4eb6d94e9d133"
