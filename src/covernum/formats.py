@@ -9,7 +9,14 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .graphs import MAX_VERTICES, CapacityError, Graph, make_graph, symmetric_closure
+from .graphs import (
+    MAX_VERTICES,
+    CapacityError,
+    Graph,
+    _derived_graph,
+    make_graph,
+    symmetric_closure,
+)
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -63,7 +70,7 @@ def parse_graph6(text: str) -> Graph:
     for v in range(1, n):
         lower[v] = field >> start & ((1 << v) - 1)
         start += v
-    return Graph(n, symmetric_closure(n, lower))
+    return _derived_graph(n, symmetric_closure(n, lower))
 
 
 def emit_graph6(g: Graph) -> str:

@@ -166,6 +166,17 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
 
+def _derived_graph(n: int, rows: Tuple[int, ...]) -> Graph:
+    """Graph(n, rows) without __post_init__'s check, for rows that follow
+    from a checked graph (its complement, rows masked from its own) or
+    are symmetric and in range by construction (a closed lower triangle);
+    n is in 0..MAX_VERTICES and rows is a tuple of n ints."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    return g
+
+
 def make_graph(n: int, edges: Iterable[Edge]) -> Graph:
     """Build a graph from an edge list.
 
@@ -192,7 +203,7 @@ def complement_rows(n: int, rows: Sequence[int]) -> List[int]:
 
 
 def complement(g: Graph) -> Graph:
-    return Graph(g.n, tuple(complement_rows(g.n, g.rows)))
+    return _derived_graph(g.n, tuple(complement_rows(g.n, g.rows)))
 
 
 def disjoint_union(gs: Sequence[Graph]) -> Graph:
@@ -284,7 +295,7 @@ def spanning_subgraph(g: Graph, es: EdgeSet) -> Graph:
     """Subgraph keeping all n vertices and only the edges in es."""
     if es.host != g:
         raise ValueError("edge set belongs to a different host graph")
-    return Graph(g.n, tuple(mask_rows(g, es.bits)))
+    return _derived_graph(g.n, tuple(mask_rows(g, es.bits)))
 
 
 def mask_rows(g: Graph, mask: int) -> List[int]:

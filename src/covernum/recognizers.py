@@ -463,6 +463,8 @@ def _check_bipartite(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
 
 def _chi_le_member(spec: ClassSpec) -> MemberFn:
     k = spec.k
+    if k == 2:  # the bipartite class: one frontier walk, not a colouring search
+        return _member_bipartite_rows
     return lambda n, rows: k_colorable_rows(n, rows, k) is not None
 
 

@@ -1,8 +1,10 @@
 """Exact minimum cover numbers: bounds first, enumeration where they differ.
 
-A host that is a member covers itself with one part.  For any other host
-with an edge the bounds step tries the paper's results before any
-enumeration.  A colouring class {chi <= f(omega)} has the exact cover
+A host that is a member covers itself with one part: the class's own
+witness search (recognizers.in_class) decides membership, and its witness
+is the part's, so a perfect host keeps is_perfect's vertex cap.  For any
+other host with an edge the bounds step tries the paper's results before
+any enumeration.  A colouring class {chi <= f(omega)} has the exact cover
 number ceil_log(f(omega), chi), certified by the formula cover (method
 "formula").  Every other class lies inside {chi = omega}, so its cover
 number is at least max(2, ceil_log(omega, chi)); a class that declares in
@@ -48,8 +50,10 @@ at the subset sweep's 2^m, exact up to it and only known to be larger
 past it, so it costs O(2^m) at most and a structural route still wins
 exactly when its work is at most 2^m.  The generators agree (tested).
 
-Certificates come from covers.witnessed_cover.  `max_class_subgraph_size`
-for unipolar runs structural.unipolar_max_edges instead of the family.
+The sweeps test membership without witnesses (membership_fn); a swept
+cover's certificate comes from covers.witnessed_cover, which witnesses
+each part.  `max_class_subgraph_size` for unipolar runs
+structural.unipolar_max_edges instead of the family.
 """
 
 from __future__ import annotations
@@ -60,12 +64,11 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from .covers import CoverCertificate, digit_cover, digit_layout, no_member_covers, witnessed_cover
 from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows
 from .invariants import ceil_log, chromatic_number, first_fit_colors, omega_of_rows
-from .recognizers import CLASSES, ClassSpec, class_f, color_bound, membership_fn
+from .recognizers import CLASSES, ClassSpec, class_f, color_bound, in_class, membership_fn
 from .structural import maximal_masks, unipolar_max_edges, unipolar_work
 
-# Unused here: bench/tracing.py hooks these two names on this module.
+# Unused here: bench/tracing.py hooks this name on this module.
 from .graphs import spanning_subgraph  # noqa: F401
-from .recognizers import in_class  # noqa: F401
 
 
 class BudgetError(RuntimeError):
@@ -349,11 +352,13 @@ def _solve(
         return None
     universe = (1 << m) - 1
     # A member host covers itself; one part is the floor for any graph
-    # with an edge, so skip the family sweep entirely.
-    if membership_fn(spec)(g.n, g.rows):
+    # with an edge, so skip the family sweep entirely.  The class's own
+    # witness search decides, and its witness is the one part's.
+    witness = in_class(g, spec)
+    if witness is not None:
         stats.family_size = 1
         stats.method = "host-member"
-        return witnessed_cover(g, spec, [universe])
+        return CoverCertificate(g, spec, (EdgeSet(g, universe),), (witness,), 1)
     if bounded:
         lower, upper, cover = _bounds(g, spec, cap, budget)
         if cap is not None and cap < lower:

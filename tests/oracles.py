@@ -13,7 +13,9 @@ bipartition_rows replaced.  naive_partition_family (restricted growth
 strings, every edge rescanned per partition) and naive_subset_family (a
 second table for "some superset is a member") are the solver's family
 generators before partitions were placed vertex by vertex and the sweep
-kept one table.
+kept one table.  witnessed_host_member is the solver's host-member test
+before the class's own witness search decided it: a membership test, then
+the witness of an equal copy of the host.
 """
 
 import random
@@ -22,6 +24,7 @@ from itertools import combinations, product
 from typing import Iterator, List, Tuple
 
 from covernum import CapacityError, Graph, ParseError, complement, make_graph
+from covernum.covers import witnessed_cover
 from covernum.graphs import MAX_VERTICES, edge_index, induced_rows, mask_rows
 from covernum.invariants import chromatic_number, omega_of_rows
 from covernum.recognizers import class_f, cluster_components, membership_fn
@@ -518,3 +521,11 @@ def naive_subset_family(g: Graph, spec) -> List[int]:
             up[s] = above
     maximal.reverse()
     return maximal
+
+
+def witnessed_host_member(g: Graph, spec):
+    """The one-part cover of a member host g, or None: membership_fn
+    decides, then witnessed_cover witnesses spanning_subgraph(g, E(g))."""
+    if not membership_fn(spec)(g.n, g.rows):
+        return None
+    return witnessed_cover(g, spec, [(1 << g.edge_count) - 1])

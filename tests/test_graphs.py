@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 
 from covernum import (
     CapacityError,
+    EdgeSet,
     Graph,
     complement,
     disjoint_union,
     edge_set_of,
+    emit_graph6,
     empty_edge_set,
     full_edge_set,
     make_graph,
+    parse_graph6,
     spanning_subgraph,
 )
 from covernum.generators import all_graphs
@@ -195,6 +198,19 @@ def test_edge_set_roundtrip(g):
     es = full_edge_set(g)
     assert edge_set_of(g, es.edges()) == es
     assert spanning_subgraph(g, es) == g
+
+
+@given(graphs_strategy(max_n=64), st.data())
+@settings(max_examples=100, deadline=None)
+def test_derived_rows_pass_the_row_check(g, data):
+    # spanning_subgraph, complement and parse_graph6 skip Graph's check
+    mask = data.draw(st.integers(0, (1 << g.edge_count) - 1))
+    sub = spanning_subgraph(g, EdgeSet(g, mask))
+    assert sub.edges() == EdgeSet(g, mask).edges()
+    for h in (sub, complement(g), parse_graph6(emit_graph6(g))):
+        assert type(h.rows) is tuple
+        h._check_rows()
+        assert h == Graph(h.n, h.rows)
 
 
 def test_components_match_the_vertex_walk():

@@ -1,10 +1,11 @@
 from itertools import combinations
 
 import pytest
-from oracles import naive_partition_family, naive_subset_family
+from oracles import naive_partition_family, naive_subset_family, witnessed_host_member
 
 from covernum import (
     BudgetError,
+    CapacityError,
     SolveBudget,
     certificate_to_json,
     check_certificate,
@@ -29,6 +30,7 @@ from covernum.generators import all_graphs, random_graphs
 from covernum.graphs import edge_index
 from covernum.recognizers import membership_fn
 from covernum.structural import unipolar_family, unipolar_max_edges, unipolar_work
+from covernum.verify import INCLUSION_PAIRS
 
 SPECS = [parse_class_spec(t) for t in (
     "bipartite", "chi-le:2", "chi-le:3", "chi-le-f:identity",
@@ -129,6 +131,21 @@ def test_host_member_shortcut():
     assert res.stats.method == "host-member"
 
 
+def test_host_member_certificate_matches_the_witnessed_copy():
+    texts = sorted({t for pair in INCLUSION_PAIRS for t in pair}) + ["chi-le-f:plus:1"]
+    specs = [parse_class_spec(t) for t in texts]
+    members = 0
+    for n in range(6):
+        for g in all_graphs(n):
+            if not g.edge_count:
+                continue
+            for spec in specs:
+                cert = decide_cover(g, spec, 1)
+                assert cert == witnessed_host_member(g, spec), (g, str(spec))
+                members += cert is not None
+    assert members == 8355  # of 9,846 pairs of a host with an edge and a class
+
+
 def test_edgeless_cover_is_empty():
     res = exact_cover_number(make_graph(5, []), parse_class_spec("bipartite"))
     assert res.value == 0
@@ -190,13 +207,26 @@ def test_budget_fails_before_the_chromatic_number(monkeypatch):
 
     monkeypatch.setattr(covernum.solver, "chromatic_number", no_chi)
     g = random_graphs(64, 1, 5)[0]  # 1,009 edges, omega 8: bounds at most 2 and at least 3
-    for text in ("perfect", "gsp", "co-unipolar", "unipolar"):
+    for text in ("gsp", "co-unipolar", "unipolar"):
         spec = parse_class_spec(text)
         with pytest.raises(BudgetError):
             exact_cover_number(g, spec)
         with pytest.raises(BudgetError):
             decide_cover(g, spec, 2)
         assert decide_cover(g, spec, 1) is None
+    # The host test is the perfection check, capped at 26 vertices with an edge.
+    perfect = parse_class_spec("perfect")
+    for k in (1, 2):
+        with pytest.raises(CapacityError):
+            decide_cover(g, perfect, k)
+    with pytest.raises(CapacityError):
+        exact_cover_number(g, perfect)
+    g = random_graphs(26, 1, 5)[0]  # 150 edges, omega 6, within the cap
+    with pytest.raises(BudgetError):
+        exact_cover_number(g, perfect)
+    with pytest.raises(BudgetError):
+        decide_cover(g, perfect, 2)
+    assert decide_cover(g, perfect, 1) is None
 
 
 def test_bounds_settle_hosts_past_the_edge_budget():
