@@ -6,7 +6,13 @@ exact; perfection goes through the absence of odd holes in the graph and
 its complement, everything else through explicit search.  Odd holes are
 found by growing chordless paths from each hole's least vertex; the
 witness is the shortest odd hole, the lexicographically least vertex set
-of that length, and the graph is searched before its complement.
+of that length, and the graph is searched before its complement.  A
+bipartite or co-bipartite graph is perfect without either search:
+- a bipartite graph has no odd cycle, so no odd hole;
+- nor a triangle, which every odd antihole of length 7 or more holds, and
+  the 5-antihole is C5, an odd cycle; so no odd antihole either;
+- complementing swaps holes and antiholes, so a co-bipartite graph is
+  perfect too.
 
 Each class is declared once, as an entry of the CLASSES registry; spec
 parsing, membership, witnesses, witness checks and, for the colouring
@@ -50,9 +56,11 @@ from .structural import (
     unipolar_work,
 )
 
-# is_perfect near the cap, measured on a 2-vCPU Intel Xeon with Python
-# 3.11: K_{13,13} 0.5 ms, the 5x5 grid 0.8 ms, random half-bipartite
-# hosts (13 + 13 vertices, half the cross pairs) 1.5-1.7 ms.
+# is_perfect near the cap, on perfect hosts that are neither bipartite nor
+# co-bipartite, so that both odd-hole scans run (2-vCPU Intel Xeon, Python
+# 3.11): K_{11,12} plus a disjoint triangle 0.9 ms, the 4x5 grid plus a
+# triangle 0.7 ms, random half-bipartite hosts (12 + 11 vertices, half the
+# cross pairs) plus a triangle, and their complements, 1.3-2.1 ms.
 PERFECT_MAX_VERTICES = 26
 
 # Each form of f: (f(spec, x), least c), where c is the spec's value, or
@@ -374,11 +382,18 @@ def find_odd_hole(n: int, rows: Sequence[int]) -> Optional[Tuple[int, ...]]:
 
 def _odd_hole_or_antihole(n: int, rows: Sequence[int]) -> Optional[Tuple[str, Tuple[int, ...]]]:
     """("odd-hole", vertices) or ("odd-antihole", vertices), the graph
-    scanned before its complement; None when the graph is perfect."""
+    scanned before its complement; None when the graph is perfect.  A
+    bipartite or co-bipartite graph returns None before either scan; the
+    module docstring says why."""
+    if bipartition_rows(n, rows) is not None:
+        return None
+    co = complement_rows(n, rows)
+    if bipartition_rows(n, co) is not None:
+        return None
     hole = find_odd_hole(n, rows)
     if hole is not None:
         return "odd-hole", hole
-    hole = find_odd_hole(n, complement_rows(n, rows))
+    hole = find_odd_hole(n, co)
     return None if hole is None else ("odd-antihole", hole)
 
 

@@ -15,7 +15,9 @@ second table for "some superset is a member") are the solver's family
 generators before partitions were placed vertex by vertex and the sweep
 kept one table.  witnessed_host_member is the solver's host-member test
 before the class's own witness search decided it: a membership test, then
-the witness of an equal copy of the host.
+the witness of an equal copy of the host.  two_scan_odd_hole_or_antihole
+is the perfection scan before bipartite and co-bipartite graphs were
+answered without one: the graph's odd-hole scan, then its complement's.
 """
 
 import random
@@ -25,9 +27,9 @@ from typing import Iterator, List, Tuple
 
 from covernum import CapacityError, Graph, ParseError, complement, make_graph
 from covernum.covers import witnessed_cover
-from covernum.graphs import MAX_VERTICES, edge_index, induced_rows, mask_rows
+from covernum.graphs import MAX_VERTICES, complement_rows, edge_index, induced_rows, mask_rows
 from covernum.invariants import chromatic_number, omega_of_rows
-from covernum.recognizers import class_f, cluster_components, membership_fn
+from covernum.recognizers import class_f, cluster_components, find_odd_hole, membership_fn
 from covernum.structural import maximal_masks
 
 
@@ -100,6 +102,17 @@ def naive_odd_hole(n: int, rows):
                     and _connected(rows, combo):
                 return combo
     return None
+
+
+def two_scan_odd_hole_or_antihole(n: int, rows):
+    """("odd-hole", vertices) or ("odd-antihole", vertices) from an
+    odd-hole scan of the graph, then of its complement; None if neither
+    holds one."""
+    hole = find_odd_hole(n, rows)
+    if hole is not None:
+        return "odd-hole", hole
+    hole = find_odd_hole(n, complement_rows(n, rows))
+    return None if hole is None else ("odd-antihole", hole)
 
 
 def _connected(rows, combo) -> bool:

@@ -1,15 +1,19 @@
 import copy
 import random
+from collections import Counter
 
 import pytest
 
 from covernum import (
     CapacityError,
+    Graph,
     check_certificate,
     check_witness,
     complement,
     complete,
     cycle,
+    exact_cover_number,
+    hypercube,
     in_class,
     is_bipartite,
     is_chi_eq_omega,
@@ -30,6 +34,7 @@ from covernum.invariants import CliqueWitness, Coloring, check_clique, check_col
 from covernum.recognizers import (
     CLASS_KINDS,
     FSpec,
+    _odd_hole_or_antihole,
     bipartition_rows,
     find_odd_hole,
     identity_f,
@@ -44,6 +49,7 @@ from oracles import (
     naive_perfect,
     naive_unipolar,
     planted_bipartite_hosts,
+    two_scan_odd_hole_or_antihole,
 )
 
 ALL_SPECS = [parse_class_spec(t) for t in (
@@ -234,9 +240,58 @@ def test_odd_hole_lexicographic_tie_break():
     assert is_perfect(g) == (False, ("odd-hole", (0, 1, 2, 4, 5)))
 
 
+def _half_bipartite_rows(rng, n):
+    """Sides of n // 2 and the rest, each cross pair an edge with chance 1/2."""
+    rows = [0] * n
+    for u in range(n // 2):
+        for v in range(n // 2, n):
+            if rng.random() < 0.5:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
+
+
+def test_bipartite_rule_matches_the_two_scans():
+    # bipartite and co-bipartite graphs are answered without a scan; every
+    # answer and witness must still be the one the two scans give
+    graphs = [(g.n, g.rows) for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(14)
+    graphs += [(n, _random_rows(rng, n, p / 10))
+               for p in range(1, 10) for n in range(7, 23) for _ in range(8)]
+    hosts = []
+    for n in range(7, 23):
+        for _ in range(18):
+            rows = _half_bipartite_rows(rng, n)
+            u, v = rng.sample(range(n // 2), 2)  # one edge inside a side
+            plus = rows[:]
+            plus[u] |= 1 << v
+            plus[v] |= 1 << u
+            hosts += [(n, rows), (n, plus)]
+    graphs += hosts + [(n, complement_rows(n, rows)) for n, rows in hosts]
+    perfect = membership_fn(parse_class_spec("perfect"))
+    outcomes = Counter()
+    for n, rows in graphs:
+        want = two_scan_odd_hole_or_antihole(n, rows)
+        assert _odd_hole_or_antihole(n, rows) == want
+        assert is_perfect(Graph(n, tuple(rows))) == (want is None, want)
+        assert perfect(n, rows) == (want is None)
+        if want is not None:
+            outcomes[want[0]] += 1
+        elif bipartition_rows(n, rows) or bipartition_rows(n, complement_rows(n, rows)):
+            outcomes["by the rule"] += 1
+        else:
+            outcomes["scanned perfect"] += 1
+    assert len(outcomes) == 4, outcomes
+
+
 def test_perfect_capacity():
+    # The cap comes before the bipartite rule: hypercube(6) and cycle(28)
+    # are bipartite and complete(27) co-bipartite, all past 26 vertices.
+    for g in (cycle(27), cycle(28), hypercube(6), complete(27)):
+        with pytest.raises(CapacityError):
+            is_perfect(g)
     with pytest.raises(CapacityError):
-        is_perfect(cycle(27))
+        exact_cover_number(hypercube(6), parse_class_spec("perfect"))
 
 
 def test_chi_eq_omega_witness():
