@@ -126,7 +126,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    workers = int(os.environ.get("COVERNUM_THREADS", "1"))
+    threads = os.environ.get("COVERNUM_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ValueError(f"COVERNUM_THREADS must be an integer, got {threads!r}") from None
     start = time.monotonic()
     report = run_suite(
         args.suite,

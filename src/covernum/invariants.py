@@ -84,6 +84,15 @@ def k_colorable_rows(n: int, rows: Sequence[int], k: int) -> Optional[List[int]]
     Backtracking on the most saturated vertex (ties: higher degree, then
     lower id).  A fresh color is only ever the next unused index, which
     breaks color symmetry and keeps witnesses dense in 0..used-1.
+
+    Saturation and degree are bit-sliced counters over vertex masks, most
+    significant slice first: bit v of sat[i] is bit i (from the top) of
+    v's saturation, and likewise deg[] for its degree.  Coloring v with c
+    adds 1 to the counters of new, its uncolored neighbors not yet next to
+    c, by a ripple carry from the last slice; backtracking subtracts it
+    again.  The pick narrows the uncolored mask through the saturation
+    slices, then the degree slices, keeping a slice's vertices wherever
+    some remain, and takes the lowest bit left.
     """
     if n == 0:
         return []
@@ -93,45 +102,63 @@ def k_colorable_rows(n: int, rows: Sequence[int], k: int) -> Optional[List[int]]
         return [0] * n
     colors = [-1] * n
     # has[c]: the vertices that were uncolored when a neighbor took color
-    # c.  key[v] = saturation * n + degree (degree < n, so keys order as
-    # (saturation, degree)) follows has[] as it grows and shrinks, and is
-    # -1 while v is colored; max() takes the first best key, so ties go
-    # to the lower id.
+    # c.  Saturation never exceeds min(k, n), so the carry always finds a
+    # slice; deg[] is the rows summed the same way, its zero top slices cut.
     has = [0] * min(k, n)
-    key = [r.bit_count() for r in rows]
-    key_of = key.__getitem__
-    order = range(n)
+    sat = [0] * min(k, n).bit_length()
+    deg = [0] * (n - 1).bit_length()
+    for r in rows:
+        j = -1
+        while r:
+            s = deg[j]
+            deg[j] = s ^ r
+            r &= s
+            j -= 1
+    while not deg[0]:
+        del deg[0]
 
     def dfs(uncolored: int, used: int) -> bool:
         if not uncolored:
             return True
-        v = max(order, key=key_of)
-        kv = key[v]
-        key[v] = -1
-        vbit = 1 << v
+        cand = uncolored
+        for s in sat:
+            t = cand & s
+            if t:
+                cand = t
+        if cand & (cand - 1):
+            for s in deg:
+                t = cand & s
+                if t:
+                    cand = t
+        vbit = cand & -cand
+        v = vbit.bit_length() - 1
         rest = uncolored ^ vbit
+        rv = rows[v] & rest
         for c in range(min(used + 1, k)):
             hc = has[c]
             if hc & vbit:
                 continue
             colors[v] = c
-            new = rows[v] & rest & ~hc
-            has[c] = hc | new
-            m = new
-            while m:
-                low = m & -m
-                m ^= low
-                key[low.bit_length() - 1] += n
-            if dfs(rest, max(used, c + 1)):
+            new = rv & ~hc
+            if new:
+                has[c] = hc | new
+                j = -1
+                carry = new
+                while carry:
+                    s = sat[j]
+                    sat[j] = s ^ carry
+                    carry &= s
+                    j -= 1
+            if dfs(rest, used if c < used else c + 1):
                 return True
-            has[c] = hc
-            m = new
-            while m:
-                low = m & -m
-                m ^= low
-                key[low.bit_length() - 1] -= n
-        colors[v] = -1
-        key[v] = kv
+            if new:
+                has[c] = hc
+                j = -1
+                while new:
+                    s = sat[j]
+                    sat[j] = s ^ new
+                    new &= ~s
+                    j -= 1
         return False
 
     if dfs((1 << n) - 1, 0):

@@ -10,6 +10,7 @@ JSON-ready dicts: parameters in, failures out, no timestamps.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
@@ -45,7 +46,13 @@ def corpus_graphs(n_max: int, samples: int, seed: int) -> List[Graph]:
 
 
 def _pool_map(fn: Callable, items: Sequence, workers: int) -> List:
-    if workers <= 1 or len(items) < 2:
+    """[fn(x) for x in items], spread over at most `workers` processes.
+
+    The pool never outnumbers the items or the CPUs: under the fork start
+    method a pool starts all its workers at the first submit.
+    """
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as ex:

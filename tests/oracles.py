@@ -18,6 +18,9 @@ before the class's own witness search decided it: a membership test, then
 the witness of an equal copy of the host.  two_scan_odd_hole_or_antihole
 is the perfection scan before bipartite and co-bipartite graphs were
 answered without one: the graph's odd-hole scan, then its complement's.
+key_array_k_colorable_rows is the DSATUR search before its saturation and
+degree counters were bit-sliced over vertex masks: one key per vertex,
+picked by a max() scan and raised or lowered one neighbour at a time.
 """
 
 import random
@@ -283,6 +286,60 @@ def naive_k_colorable_rows(n: int, rows, k: int):
         return False
 
     if dfs(0, 0):
+        return colors
+    return None
+
+
+def key_array_k_colorable_rows(n: int, rows, k: int):
+    """DSATUR with one key per vertex, key = saturation * n + degree (-1
+    while colored), the pick a max() over all vertices (first best, so the
+    lower id), keys raised and lowered one newly saturated neighbour at a
+    time."""
+    if n == 0:
+        return []
+    if k <= 0:
+        return None
+    if not any(rows):
+        return [0] * n
+    colors = [-1] * n
+    has = [0] * min(k, n)
+    key = [r.bit_count() for r in rows]
+    key_of = key.__getitem__
+    order = range(n)
+
+    def dfs(uncolored: int, used: int) -> bool:
+        if not uncolored:
+            return True
+        v = max(order, key=key_of)
+        kv = key[v]
+        key[v] = -1
+        vbit = 1 << v
+        rest = uncolored ^ vbit
+        for c in range(min(used + 1, k)):
+            hc = has[c]
+            if hc & vbit:
+                continue
+            colors[v] = c
+            new = rows[v] & rest & ~hc
+            has[c] = hc | new
+            m = new
+            while m:
+                low = m & -m
+                m ^= low
+                key[low.bit_length() - 1] += n
+            if dfs(rest, max(used, c + 1)):
+                return True
+            has[c] = hc
+            m = new
+            while m:
+                low = m & -m
+                m ^= low
+                key[low.bit_length() - 1] -= n
+        colors[v] = -1
+        key[v] = kv
+        return False
+
+    if dfs((1 << n) - 1, 0):
         return colors
     return None
 

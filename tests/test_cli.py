@@ -362,6 +362,13 @@ def test_cover_and_solve_agree_where_no_member_covers_an_edge(capsys, tmp_path):
     assert (code, data["parts"]) == (0, [])
 
 
+def test_verify_rejects_a_non_integer_thread_count(capsys, monkeypatch):
+    monkeypatch.setenv("COVERNUM_THREADS", "two")
+    code, out, err = run(capsys, "verify", "hhm")
+    assert (code, out) == (2, "")
+    assert err == "error: COVERNUM_THREADS must be an integer, got 'two'\n"
+
+
 def test_help_lists_every_class_and_suite(capsys, monkeypatch):
     from covernum.recognizers import CLASSES
     from covernum.verify import SUITES

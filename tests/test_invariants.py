@@ -18,11 +18,18 @@ from covernum.generators import (
     all_graphs,
     complete,
     cycle,
+    parse_family_spec,
     random_graphs,
     triangle_free_chromatic,
 )
-from covernum.invariants import Coloring, k_colorable_rows
-from oracles import brute_chromatic, brute_clique, gnp_graph, naive_k_colorable_rows
+from covernum.invariants import Coloring, k_colorable_rows, omega_of_rows
+from oracles import (
+    brute_chromatic,
+    brute_clique,
+    gnp_graph,
+    key_array_k_colorable_rows,
+    naive_k_colorable_rows,
+)
 
 
 def test_ceil_log_known_values():
@@ -134,6 +141,66 @@ def test_k_colorable_matches_dsatur_oracle():
         n = len(rows)
         for k in range(n + 2):
             assert k_colorable_rows(n, rows, k) == naive_k_colorable_rows(n, rows, k), (rows, k)
+
+
+def _planted_partite(rng, n: int, parts: int):
+    """Random parts-partite graph, cross pairs edges with chance 1/2, whose
+    vertices 0..parts-1 sit in distinct parts and form a clique."""
+    part = [rng.randrange(parts) for _ in range(n)]
+    part[:parts] = range(parts)
+    return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if part[u] != part[v] and (v < parts or rng.random() < 0.5)])
+
+
+def test_k_colorable_matches_key_array_oracle_on_hosts():
+    """Same colouring, or None, as the key-array search on the graphs
+    where the search spends its time: G(n, 1/2) on 36-41 vertices at every
+    k from omega to chi (the failing chi - 1 search included), planted 4-
+    to 6-partite hosts at k = omega, K16 at 15 and 16, the 5-chromatic
+    Mycielski graph at 4 and 5, and k far past n."""
+    rng = random.Random(15)
+    cases = []
+    for n in range(36, 42):
+        for _ in range(2):
+            rows = gnp_graph(rng, n, 0.5).rows
+            k = omega_of_rows(n, rows)
+            while True:
+                cases.append((rows, k))
+                if key_array_k_colorable_rows(n, rows, k) is not None:
+                    break
+                k += 1
+    for n in range(25, 41, 3):
+        for parts in (4, 5, 6):
+            cases.append((_planted_partite(rng, n, parts).rows, parts))
+    cases += [(complete(16).rows, 15), (complete(16).rows, 16)]
+    cases += [(triangle_free_chromatic(5).rows, 4), (triangle_free_chromatic(5).rows, 5)]
+    cases += [(gnp_graph(rng, 12, p).rows, 2**40) for p in (0.3, 0.7)]
+    cases.append((complete(12).rows, 2**40))
+    for rows, k in cases:
+        n = len(rows)
+        assert k_colorable_rows(n, rows, k) == key_array_k_colorable_rows(n, rows, k), (rows, k)
+
+
+HOST_FAMILIES = ("mycielski:4", "mycielski:5", "hypercube:5", "hypercube:6", "complete:16",
+                 "cycle:31", "kkl:4,5", "multipartite:5,5,5,5", "far:1,2", "far:2,2")
+
+
+def test_host_invariants_are_pinned():
+    # One sha256 over chromatic_number (count and colouring) and
+    # clique_number (the clique) on the named host families and six seeded
+    # 36-41 vertex G(n, 1/2) hosts: any change in the DSATUR pick order or
+    # the clique search's witness changes it.
+    import hashlib
+    import json
+
+    hosts = [parse_family_spec(text) for text in HOST_FAMILIES]
+    hosts += [random_graphs(n, 1, 20261019 + n)[0] for n in range(36, 42)]
+    digest = hashlib.sha256()
+    for g in hosts:
+        chi, coloring = chromatic_number(g)
+        omega, witness = clique_number(g)
+        digest.update(json.dumps([chi, coloring.colors, omega, witness.vertices]).encode())
+    assert digest.hexdigest() == "490f23a609461510c16ff23123028a98b4b92281f04676f71ec7e7936a16e02c"
 
 
 def test_check_coloring_rejects_bad():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from covernum import verify
 from covernum.verify import (
     DEFAULT_SEED,
     SUITES,
@@ -64,6 +65,38 @@ def test_workers_do_not_change_reports():
     serial = suite_inclusion(n_max=4, samples=0, workers=1)
     parallel = suite_inclusion(n_max=4, samples=0, workers=2)
     assert serial == parallel
+
+
+def test_pool_is_capped_at_items_and_cpus(monkeypatch):
+    # A stand-in pool that records its size and maps in this process, so
+    # no worker process is ever started.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    assert verify._pool_map(abs, [-1, -2, -3], 1000) == [1, 2, 3]
+    assert verify._pool_map(abs, list(range(-50, 0)), 1000) == list(range(50, 0, -1))
+    assert verify._pool_map(abs, list(range(-50, 0)), 2) == list(range(50, 0, -1))
+    assert sizes == [3, 4, 2]
+    assert verify._pool_map(abs, [-1], 1000) == [1]
+    assert suite_hhm(n_max=4, samples=0, workers=1000) == suite_hhm(n_max=4, samples=0)
+    assert sizes == [3, 4, 2, 4]
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    assert verify._pool_map(abs, [-1, -2, -3], 1000) == [1, 2, 3]
+    assert sizes == [3, 4, 2, 4]
 
 
 def test_arithmetic_suite_sweep():
