@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constructive classes: " + ", ".join(_class_forms(constructive=True)))
     p.set_defaults(fn=_cmd_cover)
 
-    p = sub.add_parser("solve", help="exact minimum cover by enumeration")
+    p = sub.add_parser("solve", help="exact minimum cover: bounds, greedy covers, then enumeration")
     _add_input_args(p)
     p.add_argument("--class", dest="cls", required=True)
     p.add_argument("--decision", type=int, default=None, metavar="K",

@@ -237,8 +237,7 @@ class EdgeSet:
     bits: int
 
     def __post_init__(self) -> None:
-        full = (1 << len(edge_index(self.host))) - 1
-        if self.bits & ~full:
+        if self.bits >> self.host.edge_count:
             raise ValueError("edge bits outside the host's edge index")
 
     def _check_host(self, other: "EdgeSet") -> None:

@@ -52,6 +52,7 @@ from .structural import (
     co_unipolar_family,
     co_unipolar_work,
     maximal_masks,
+    unipolar_best,
     unipolar_family,
     unipolar_work,
 )
@@ -532,10 +533,14 @@ class Family:
     generate(g) lists their edge masks ascending, as the subset sweep
     does, and work(g, cap) predicts its steps, exact up to cap and above
     cap otherwise, in O(cap); the solver weighs it against the subset
-    sweep's 2^m membership tests with cap 2^m."""
+    sweep's 2^m membership tests with cap 2^m.  best(g, within), where
+    declared, is (count, mask) for a member inside g holding the most
+    edges of the mask within: count is how many it holds, mask its edge
+    set; the solver builds greedy covers from it before any family."""
 
     generate: Callable[[Graph], List[int]]
     work: Callable[[Graph, int], int]
+    best: Optional[Callable[[Graph, int], Tuple[int, int]]] = None
 
 
 @dataclass(frozen=True)
@@ -667,7 +672,7 @@ def _flat(k: int) -> Callable[[int], int]:
 # C6 is bipartite and not unipolar.
 _UNIPOLAR = ClassEntry(
     lambda spec: _member_unipolar_rows, _split_witness, _check_split_witness,
-    family=Family(unipolar_family, unipolar_work),
+    family=Family(unipolar_family, unipolar_work, unipolar_best),
 )
 
 CLASSES: Dict[str, ClassEntry] = {

@@ -14,6 +14,15 @@ formula cover's parts, re-witnessed for the class, settle it (method
 "bounds").  A host whose bounds cannot meet and whose sweep is over the
 edge budget fails before the exact chromatic number is computed.
 
+A class whose registry family declares best (unipolar, which no formula
+bounds from above) is bounded by counting instead, on hosts within the
+edge budget: with M the most edges of a member inside g, the cover
+number is at least max(2, ceil(m / M)).  A greedy cover takes best's
+member as its first part and then, while edges stay uncovered, either
+those edges, where they alone are a member, or the member holding the
+most of them; where its part count meets the lower bound it settles the
+host (method "greedy"), and otherwise the solver sweeps as below.
+
 Otherwise the solver sweeps: any cover part extends to a subgraph that is
 maximal within the class (classes here are not all closed under edge
 deletion, so maximal means "no proper superset is a member", not "adding
@@ -53,7 +62,7 @@ exactly when its work is at most 2^m.  The generators agree (tested).
 The sweeps test membership without witnesses (membership_fn); a swept
 cover's certificate comes from covers.witnessed_cover, which witnesses
 each part.  `max_class_subgraph_size` for unipolar runs
-structural.unipolar_max_edges instead of the family.
+structural.unipolar_max_edges, best's recursion, instead of the family.
 """
 
 from __future__ import annotations
@@ -306,22 +315,52 @@ def _min_set_cover(
     return best
 
 
-Bounds = Tuple[int, Optional[int], Optional[Callable[[], CoverCertificate]]]
+Settled = Optional[Tuple[str, Callable[[], CoverCertificate]]]
 
 
-def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int], budget: SolveBudget) -> Bounds:
-    """(lower, upper, cover): lower <= cover number <= upper for g, a host
-    with an edge outside the class, and a maker of a cover by upper parts.
-    upper is None where no formula bounds the class from above."""
+def _greedy_bounds(g: Graph, spec: ClassSpec,
+                   best: Callable[[Graph, int], Tuple[int, int]]) -> Tuple[int, Settled]:
+    """The counting lower bound max(2, ceil(m / M)), M the most edges of a
+    member inside g, and where a greedy cover meets it, that cover: each
+    part is the member holding the most uncovered edges, until the
+    uncovered edges alone are a member and make the last part."""
+    full = (1 << g.edge_count) - 1
+    most, part = best(g, full)
+    lower = max(2, -(-g.edge_count // most))
+    member = membership_fn(spec)
+    parts = [part]
+    uncovered = full & ~part
+    while uncovered:
+        if len(parts) == lower:
+            return lower, None
+        if member(g.n, mask_rows(g, uncovered)):
+            part = uncovered
+        else:
+            part = best(g, uncovered)[1]
+        parts.append(part)
+        uncovered &= ~part
+    return lower, ("greedy", lambda: witnessed_cover(g, spec, parts))
+
+
+def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int],
+            budget: SolveBudget) -> Tuple[int, Settled]:
+    """(lower, settled) for g, a host with an edge outside the class: lower
+    bounds the cover number, and where an upper bound meets it, settled is
+    (method, maker of a cover by lower parts); otherwise None."""
     if class_f(spec) is not None:
         coloring, base, clique = digit_layout(g, spec)
         value = ceil_log(base, coloring.count)
-        return value, value, lambda: digit_cover(g, spec, coloring, base, clique)
-    holds_bipartite = CLASSES[spec.kind].holds_bipartite
-    # the floor of 2 answers k < 2; without an upper bound, the lower one
-    # only answers a capped question
-    if (cap is not None and cap < 2) or (cap is None and not holds_bipartite):
-        return 2, None, None
+        return value, ("formula", lambda: digit_cover(g, spec, coloring, base, clique))
+    # the floor of 2 answers k < 2
+    if cap is not None and cap < 2:
+        return 2, None
+    entry = CLASSES[spec.kind]
+    best = entry.family and entry.family.best
+    if best is not None and g.edge_count <= budget.max_edges:
+        return _greedy_bounds(g, spec, best)
+    # without an upper bound, the lower one only answers a capped question
+    if cap is None and not entry.holds_bipartite:
+        return 2, None
     omega = omega_of_rows(g.n, g.rows)
     if g.edge_count > budget.max_edges:
         # First fit bounds chi, and so the lower bound, from above; the upper
@@ -329,14 +368,14 @@ def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int], budget: SolveBudget) 
         # the lower one cannot answer cap, only the sweep could: fail before
         # the exponential chromatic number.
         most = max(2, ceil_log(omega, first_fit_colors(g.n, g.rows)))
-        may_meet = holds_bipartite and ceil_log(2, omega) <= most
+        may_meet = entry.holds_bipartite and ceil_log(2, omega) <= most
         if not may_meet and (cap is None or cap >= most):
             raise _over_budget(g, budget)
     chi, coloring = chromatic_number(g)
     lower = max(2, ceil_log(omega, chi))
-    if not holds_bipartite:
-        return lower, None, None
-    return lower, ceil_log(2, chi), lambda: digit_cover(g, spec, coloring, 2, ())
+    if not entry.holds_bipartite or ceil_log(2, chi) != lower:
+        return lower, None
+    return lower, ("bounds", lambda: digit_cover(g, spec, coloring, 2, ()))
 
 
 def _solve(
@@ -360,11 +399,11 @@ def _solve(
         stats.method = "host-member"
         return CoverCertificate(g, spec, (EdgeSet(g, universe),), (witness,), 1)
     if bounded:
-        lower, upper, cover = _bounds(g, spec, cap, budget)
+        lower, settled = _bounds(g, spec, cap, budget)
         if cap is not None and cap < lower:
             return None
-        if upper == lower:
-            stats.method = "bounds" if class_f(spec) is None else "formula"
+        if settled is not None:
+            stats.method, cover = settled
             return cover()
     family, stats.method = family_maximal_masks(g, spec, budget)
     stats.family_size = len(family)

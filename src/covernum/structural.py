@@ -13,7 +13,8 @@ the masks ascending, as the subset sweep does.
   cliques of G, and that edge set is a member.  Growing A by a vertex
   adjacent to all of it only adds edges, so A ranges over the maximal
   cliques of G; the maximal cluster edge sets of each remaining vertex set
-  are memoised.  `unipolar_max_edges` keeps only each set's best count.
+  are memoised.  `unipolar_best` keeps only each set's best cluster edge
+  set, counted inside a given edge mask; `unipolar_max_edges` counts all.
 * co-unipolar: the complement of a member is unipolar, so a member is an
   independent set A plus a complete multipartite graph on the rest.  Its
   parts must hold every non-edge of G between rest vertices, so the
@@ -167,33 +168,51 @@ def unipolar_family(g: Graph) -> List[int]:
     )
 
 
-def unipolar_max_edges(g: Graph) -> int:
-    """Most edges of a unipolar subgraph of g: unipolar_family's recursion
-    keeping, for each vertex set, only the largest cluster edge count."""
+def unipolar_best(g: Graph, within: int) -> Tuple[int, int]:
+    """(count, mask) for a unipolar subgraph of g holding the most edges of
+    the mask within: count is how many it holds, mask its whole edge set,
+    the edges touching its clique side plus its cluster edges.
+    unipolar_family's recursion keeping, for each vertex set, only the
+    best cluster edge set; ties go to the first found."""
     rows, inc = _bfs_rows(g)
-    memo: Dict[int, int] = {0: 0}
+    memo: Dict[int, Tuple[int, int]] = {0: (0, 0)}
 
-    def clusters(rest: int) -> int:
-        """Most edges of a disjoint union of cliques inside G[rest]."""
+    def clusters(rest: int) -> Tuple[int, int]:
+        """The disjoint union of cliques inside G[rest] holding the most
+        edges of within, as (count, mask)."""
         got = memo.get(rest)
         if got is None:
             low = rest & -rest  # the block holding rest's least vertex
             v = low.bit_length() - 1
-            got = memo[rest] = max(
-                inside.bit_count() + clusters(rest & ~q)
-                for q, _, inside in cliques(rows, inc, low, rows[v] & rest, inc[v])
-            )
+            most = -1
+            for q, _, inside in cliques(rows, inc, low, rows[v] & rest, inc[v]):
+                count, mask = clusters(rest & ~q)
+                count += (inside & within).bit_count()
+                if count > most:
+                    most = count
+                    got = count, inside | mask
+            memo[rest] = got
         return got
 
     everyone = (1 << len(rows)) - 1
-    return max(
-        (touch.bit_count() + clusters(everyone & ~a) for a, touch in _clique_sides(rows, inc)),
-        default=0,
-    )
+    best = (0, 0)
+    most = -1
+    for a, touch in _clique_sides(rows, inc):
+        count, mask = clusters(everyone & ~a)
+        count += (touch & within).bit_count()
+        if count > most:
+            most = count
+            best = count, touch | mask
+    return best
+
+
+def unipolar_max_edges(g: Graph) -> int:
+    """Most edges of a unipolar subgraph of g."""
+    return unipolar_best(g, (1 << g.edge_count) - 1)[0]
 
 
 def unipolar_work(g: Graph, cap: int) -> int:
-    """Predicted work of unipolar_family and unipolar_max_edges: per clique
+    """Predicted work of unipolar_family and unipolar_best: per clique
     side, the recursion visits at most S = the sum over t of 2^|N(below t)
     above t| vertex sets, as a set with least vertex t lacks, above t, only
     neighbours of vertices below t.  A clique is its least vertex plus later

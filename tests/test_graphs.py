@@ -157,6 +157,16 @@ def test_edge_set_of_rejects_non_edges():
         edge_set_of(g, [(1, 2)])
 
 
+def test_edge_set_rejects_bits_outside_the_edge_index():
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert len(EdgeSet(g, 0b111)) == 3
+    for bits in (0b1000, 0b1111, 1 << 64, -1):
+        with pytest.raises(ValueError, match="outside the host's edge index"):
+            EdgeSet(g, bits)
+    with pytest.raises(ValueError):
+        EdgeSet(make_graph(2, []), 1)
+
+
 def test_spanning_subgraph_keeps_vertices():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     sub = spanning_subgraph(g, edge_set_of(g, [(1, 2)]))

@@ -27,9 +27,9 @@ from covernum import (
     unipolar_subgraph_bound,
 )
 from covernum.generators import all_graphs, random_graphs
-from covernum.graphs import edge_index
+from covernum.graphs import edge_index, mask_rows
 from covernum.recognizers import membership_fn
-from covernum.structural import unipolar_family, unipolar_max_edges, unipolar_work
+from covernum.structural import unipolar_best, unipolar_family, unipolar_max_edges, unipolar_work
 from covernum.verify import INCLUSION_PAIRS
 
 SPECS = [parse_class_spec(t) for t in (
@@ -332,6 +332,72 @@ def test_unipolar_max_edges_matches_the_family():
         assert unipolar_max_edges(g) == most, g
 
 
+def test_unipolar_best_matches_the_family():
+    # count: the most edges of within that a maximal member holds; mask: a
+    # member holding that many.  Every labelled graph on up to 5 vertices,
+    # every 6-vertex graph up to isomorphism, seeded 7- to 9-vertex hosts.
+    import random
+
+    import networkx as nx
+
+    hosts = [g for n in range(6) for g in all_graphs(n)]
+    hosts += [make_graph(6, a.edges()) for a in nx.graph_atlas_g() if a.number_of_nodes() == 6]
+    hosts += [g for n in range(7, 10) for g in random_graphs(n, 16, 90 + n)]
+    member = membership_fn(parse_class_spec("unipolar"))
+    rng = random.Random(16)
+    for g in hosts:
+        full = (1 << g.edge_count) - 1
+        family = unipolar_family(g)
+        assert unipolar_best(g, full)[0] == unipolar_max_edges(g), g
+        for within in (full, rng.getrandbits(g.edge_count), rng.getrandbits(g.edge_count)):
+            count, mask = unipolar_best(g, within)
+            assert count == max((f & within).bit_count() for f in family), (g, within)
+            assert (mask & within).bit_count() == count and mask & ~full == 0, (g, within)
+            assert member(g.n, mask_rows(g, mask)), (g, within)
+
+
+def test_greedy_covers_match_the_sweep():
+    # every labelled graph on up to 6 vertices, seeded 7- to 9-vertex hosts
+    # within the edge budget and seven disjoint claws, whose counting bound
+    # is ceil(21 / (3 + 6)) = 3: the greedy meets it on every non-member
+    spec = parse_class_spec("unipolar")
+    hosts = [g for n in range(7) for g in all_graphs(n)]
+    hosts += [g for n, count in ((7, 40), (8, 24), (9, 16)) for g in random_graphs(n, count, 90 + n)]
+    hosts.append(make_graph(28, [(v, v + d) for v in range(0, 28, 4) for d in (1, 2, 3)]))
+    settled = []
+    for g in hosts:
+        if g.edge_count > SolveBudget().max_edges:
+            continue
+        res = exact_cover_number(g, spec)
+        if res.stats.method in ("", "host-member"):
+            continue
+        assert res.stats.method == "greedy", g
+        assert (res.stats.family_size, res.stats.nodes) == (0, 0)
+        assert res.value == sweep_cover_number(g, spec).value, g
+        assert check_certificate(g, res.certificate)
+        assert len(res.certificate.parts) == res.value
+        assert decide_cover(g, spec, res.value - 1) is None
+        settled.append(res.value)
+    assert len(settled) > 4000 and max(settled) == 3
+
+
+def test_greedy_keeps_the_edge_budget():
+    spec = parse_class_spec("unipolar")
+    with pytest.raises(BudgetError):
+        exact_cover_number(parse_family_spec("cycle:23"), spec)
+    with pytest.raises(BudgetError):
+        exact_cover_number(hypercube(3), spec, SolveBudget(max_edges=11))
+    # eleven disjoint P3s among 64 vertices; two disjoint P3s are already
+    # not unipolar
+    g = make_graph(64, [(v, v + d) for v in range(0, 33, 3) for d in (1, 2)])
+    assert g.edge_count == 22 and in_class(g, spec) is None
+    res = exact_cover_number(g, spec)
+    assert (res.value, res.stats.method) == (2, "greedy")
+    assert check_certificate(g, res.certificate)
+    assert decide_cover(g, spec, 1) is None
+    assert len(decide_cover(g, spec, 2).parts) == 2
+
+
 def test_max_subgraph_size_within_budget():
     g = cycle(5)
     assert max_class_subgraph_size(g, parse_class_spec("bipartite")) == 4
@@ -448,7 +514,7 @@ def test_route_choice_follows_predicted_work(monkeypatch):
     from covernum.recognizers import CLASSES, Family
     from covernum.solver import _cheapest_route
 
-    res = exact_cover_number(parse_graph6("GzcQlw"), parse_class_spec("unipolar"))
+    res = sweep_cover_number(parse_graph6("GzcQlw"), parse_class_spec("unipolar"))
     assert (res.value, res.stats.method) == (2, "structural")
     # co-unipolar costs 2^(non-isolated vertices): 15 random edges on 64
     # vertices touch far more than 15 vertices, so the sweep is cheaper
@@ -487,7 +553,7 @@ def test_solver_stats_populated():
     res = exact_cover_number(cycle(5), parse_class_spec("bipartite"))
     assert res.stats.method == "formula"
     assert (res.stats.family_size, res.stats.nodes) == (0, 0)
-    res = exact_cover_number(hypercube(3), parse_class_spec("unipolar"))
+    res = sweep_cover_number(hypercube(3), parse_class_spec("unipolar"))
     assert res.stats.method == "structural"
     assert res.stats.family_size > 0
 
@@ -512,6 +578,12 @@ def test_bounds_fall_back_to_the_sweep_where_they_differ():
         res = exact_cover_number(g, parse_class_spec(text))
         assert res.stats.method == method, text
         assert res.value == 2
+    # a sparse host on which the greedy unipolar cover takes 3 parts, one
+    # more than the counting bound and the value
+    g = make_graph(14, [(0, 8), (0, 13), (1, 13), (2, 5), (3, 12), (4, 9), (4, 12), (5, 6),
+                        (5, 8), (7, 12), (9, 13), (10, 13)])
+    res = exact_cover_number(g, parse_class_spec("unipolar"))
+    assert (res.value, res.stats.method) == (2, "structural")
 
 
 def test_solver_outputs_are_pinned():
@@ -537,5 +609,6 @@ def test_solver_outputs_are_pinned():
             methods |= {exact.stats.method, sweep.stats.method}
             digest.update(json.dumps([result(exact), result(sweep),
                                       below and certificate_to_json(below)]).encode())
-    assert {"host-member", "formula", "bounds", "structural", "partition", "subset"} <= methods
-    assert digest.hexdigest() == "a7d4fe27d245e4290cf490c7b177e8fd02c04bf24e5db9edcdb4eb6d94e9d133"
+    assert {"host-member", "formula", "bounds", "greedy", "structural", "partition",
+            "subset"} <= methods
+    assert digest.hexdigest() == "5faed4accaaca102172f5173fe5330a7a2942c3754470364076336d6f8eba536"
