@@ -3,7 +3,9 @@
 Subcommands: gen, invariant, recognize, cover, solve, verify.  Graph input
 comes from a file argument or stdin in graph6, edge list, or DIMACS form.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 capacity, 4 no constructive path for the class, 5 solver budget.
+3 capacity, 4 no constructive path for the class, 5 solver budget, 141
+(128 + SIGPIPE, as a shell reports a process a closed pipe killed) the
+reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -210,9 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        args = parser.parse_args(argv)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device, where the flush at interpreter
+        # exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 5

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Sequence, Tuple
 from .generators import hypercube
 from .graphs import EdgeSet, Graph, edge_index, full_edge_set, spanning_subgraph
 from .invariants import Coloring, ceil_log, chromatic_number, clique_number
-from .recognizers import ClassSpec, FSpec, check_witness, class_f, flat_upto, in_class
+from .recognizers import CLASSES, ClassSpec, FSpec, check_witness, class_f, flat_upto, in_class
 
 
 def formula_biparticity(chi: int) -> int:
@@ -58,7 +58,8 @@ def certificate_to_json(cert: CoverCertificate) -> Dict:
 
 def witnessed_cover(g: Graph, spec: ClassSpec, masks: Sequence[int]) -> CoverCertificate:
     """The cover of g whose parts are the edge masks, in their order, each
-    part's spanning subgraph witnessed as a member of spec."""
+    part's spanning subgraph witnessed as a member of spec by the class's
+    witness search: the swept and greedy covers' certificates."""
     parts = tuple(EdgeSet(g, mask) for mask in masks)
     wits = []
     for p in parts:
@@ -98,13 +99,22 @@ def digit_layout(g: Graph, spec: ClassSpec) -> Tuple[Coloring, int, Tuple[int, .
 
 def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
                 clique: Tuple[int, ...]) -> CoverCertificate:
-    """Cover of g by ceil_log(base, chi) parts, each witnessed for spec.
+    """Cover of g by ceil_log(base, chi) parts, each witnessed for spec
+    from its digits.
 
     Each colour becomes a string of t base-`base` digits, and part d keeps
     the edges whose endpoint strings differ in digit d, so digit d colours
     part d with at most `base` colours.  The colours on `clique` get
     distinct constant strings, which keeps the clique inside every part;
-    otherwise the strings are the colours' plain digits.
+    otherwise the strings are the colours' plain digits.  The class's
+    registry entry builds part d's witness from digit d and the clique, or
+    the part's lowest edge where there is none, with no membership search
+    (recognizers.ClassEntry.digit_witness): base is the layout's f(omega)
+    for a colouring class and 2 for any other.
+
+    Every part has an edge: the clique's strings differ in every digit,
+    and were no edge to join two values of plain digit d, each value's
+    colours, fewer than chi, would colour its own vertices, and so g.
     """
     chi = coloring.count
     if chi <= 1:
@@ -120,13 +130,21 @@ def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
         strings = [const[c] if c in const else next(fresh) for c in range(chi)]
     else:
         strings = [tuple(c // base ** d % base for d in range(t)) for c in range(chi)]
+    of = [strings[c] for c in coloring.colors]  # each vertex's string
+    idx = edge_index(g)
     masks = [0] * t
-    for i, (u, v) in enumerate(edge_index(g)):
-        su, sv = strings[coloring.colors[u]], strings[coloring.colors[v]]
+    for i, (u, v) in enumerate(idx):
+        su, sv = of[u], of[v]
         for d in range(t):
             if su[d] != sv[d]:
                 masks[d] |= 1 << i
-    return witnessed_cover(g, spec, masks)
+    witness = CLASSES[spec.kind].digit_witness
+    label = str(spec)
+    wits = []
+    for d, mask in enumerate(masks):
+        part_clique = clique or idx[(mask & -mask).bit_length() - 1]
+        wits.append({"class": label, **witness(spec, [s[d] for s in of], part_clique)})
+    return CoverCertificate(g, spec, tuple(EdgeSet(g, mask) for mask in masks), tuple(wits), t)
 
 
 def formula_cover(g: Graph, spec: ClassSpec) -> CoverCertificate:

@@ -11,7 +11,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 MAX_VERTICES = 64
 
@@ -91,6 +91,25 @@ class CapacityError(ValueError):
     """Raised when an input exceeds the 64-vertex representation."""
 
 
+class _cached:
+    """functools.cached_property without its lock, which on Python 3.11
+    and earlier costs more than a count it saves: the first read stores
+    the value in the instance dict, where later reads find it first, and
+    which equality and hashing of a dataclass ignore."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: object, owner: object = None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
@@ -161,9 +180,9 @@ class Graph:
                 out.append((u, v))
         return out
 
-    @property
+    @_cached
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
 
 def _derived_graph(n: int, rows: Tuple[int, ...]) -> Graph:

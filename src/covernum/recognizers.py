@@ -16,11 +16,13 @@ bipartite or co-bipartite graph is perfect without either search:
 
 Each class is declared once, as an entry of the CLASSES registry; spec
 parsing, membership, witnesses, witness checks and, for the colouring
-classes {chi <= f(omega)}, the function f are all lookups into it.  The
-other classes lie inside {chi = omega} and declare there whether they hold
-every bipartite graph, which bounds their cover numbers; the split classes
-(unipolar, co-unipolar, gsp) also declare a structural family, which
-builds their maximal members inside a host for the solver.
+classes {chi <= f(omega)}, the function f are all lookups into it.  An
+entry may say how a part of a digit cover is witnessed from its digits:
+every colouring class does, and so does every other class that holds
+every bipartite graph, for base-2 covers, which bounds its cover numbers
+(the other classes lie inside {chi = omega}).  The split classes (unipolar,
+co-unipolar, gsp) also declare a structural family, which builds their
+maximal members inside a host for the solver.
 """
 
 from __future__ import annotations
@@ -506,6 +508,19 @@ def _split_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
     return {"clique_side": bits_of(a), "clusters": [bits_of(c) for c in comps]}
 
 
+def _digit_sides(digits: Sequence[int]) -> List[List[int]]:
+    """The vertices of digit 0 and of digit 1."""
+    return [[v for v, d in enumerate(digits) if d == side] for side in (0, 1)]
+
+
+def _co_bipartite_split(spec: ClassSpec, digits: Sequence[int], clique: Tuple[int, ...]) -> Dict:
+    """A part of a base-2 digit cover: each digit's vertices are a clique
+    of the part's complement, so one is the clique side and the other the
+    only cluster."""
+    side, cluster = _digit_sides(digits)
+    return {"clique_side": side, "clusters": [cluster]}
+
+
 def _check_split_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
     a = witness.get("clique_side", [])
     clusters = witness.get("clusters", [])
@@ -543,6 +558,9 @@ class Family:
     best: Optional[Callable[[Graph, int], Tuple[int, int]]] = None
 
 
+DigitWitnessFn = Callable[[ClassSpec, Sequence[int], Tuple[int, ...]], Dict]
+
+
 @dataclass(frozen=True)
 class ClassEntry:
     """Everything the package needs to know about one class.
@@ -555,12 +573,19 @@ class ClassEntry:
     cover formula and construction all follow from f.  param names the
     ClassSpec field the kind takes.
 
+    digit_witness(spec, digits, clique), where declared, is the witness
+    body of a part of a digit cover (covers.digit_cover), read off the
+    construction with no search: digits[v] is vertex v's digit, a proper
+    colouring of the part, and clique is a clique of the part.  For a
+    colouring class the digits number at most f(|clique|).
+
     Every other class lies inside {chi = omega}, so a cover number is at
-    least that of {chi = omega}, ceil_log(omega, chi).  holds_bipartite:
-    every bipartite graph is a member, so a cover number is also at most
-    that of bipartite, ceil_log(2, chi), and the bipartite formula cover's
-    parts are members.  family, where declared, builds the class-maximal
-    members of a host from its structure instead of from edge subsets.
+    least that of {chi = omega}, ceil_log(omega, chi).  One that declares
+    digit_witness holds every bipartite graph, witnessed from the two
+    digits of a base-2 digit cover, so a cover number is also at most that
+    of bipartite, ceil_log(2, chi).  family, where declared, builds the
+    class-maximal members of a host from its structure instead of from
+    edge subsets.
     """
 
     member: Callable[[ClassSpec], MemberFn]
@@ -568,7 +593,7 @@ class ClassEntry:
     check: Callable[[Graph, ClassSpec, Dict], bool]
     f: Optional[Callable[[ClassSpec], Callable[[int], int]]] = None
     param: Optional[str] = None
-    holds_bipartite: bool = False
+    digit_witness: Optional[DigitWitnessFn] = None
     family: Optional[Family] = None
 
 
@@ -580,15 +605,22 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
         f = f_of(spec)
         return lambda n, rows: _member_chi_le_f_rows(n, rows, f)
 
+    def body(colors: List[int], clique: List[int], fw: int) -> Dict:
+        out = {"coloring": colors, "clique": clique}
+        if param is not None:
+            out["f_omega"] = fw
+        return out
+
     def witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
         res = is_chi_le_f(g, f_of(spec))
         if res is None:
             return None
         coloring, clique, fw = res
-        body = {"coloring": list(coloring.colors), "clique": list(clique.vertices)}
-        if param is not None:
-            body["f_omega"] = fw
-        return body
+        return body(list(coloring.colors), list(clique.vertices), fw)
+
+    def digit_witness(spec: ClassSpec, digits: Sequence[int], clique: Tuple[int, ...]) -> Dict:
+        # the clique is a largest one of the part, or f is flat up to it
+        return body(list(digits), list(clique), f_of(spec)(len(clique)))
 
     def check(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
         colors = witness.get("coloring")
@@ -608,7 +640,7 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
         except ValueError:
             return False
 
-    return ClassEntry(member, witness, check, f_of, param)
+    return ClassEntry(member, witness, check, f_of, param, digit_witness)
 
 
 def _complement_entry(base: ClassEntry) -> ClassEntry:
@@ -632,35 +664,45 @@ def _complement_entry(base: ClassEntry) -> ClassEntry:
     )
 
 
-def _union_entry(first: str, second: str) -> ClassEntry:
-    """Graphs in either registered class; the witness names the branch
-    that holds, trying first before second.  Both classes must declare a
-    family: the union's maximal members are the inclusion-maximal ones of
-    both families together."""
+def _union_entry(first: Tuple[str, ClassEntry], second: Tuple[str, ClassEntry]) -> ClassEntry:
+    """Graphs in either class, each given as (kind, entry); the witness
+    names the branch that holds, trying first before second.  Both
+    classes must declare a family: the union's maximal members are the
+    inclusion-maximal ones of both families together.  A digit cover part
+    takes the first branch that declares a digit witness."""
+    branches = (first, second)
 
     def member(spec: ClassSpec) -> MemberFn:
-        a, b = CLASSES[first].member(spec), CLASSES[second].member(spec)
+        a, b = first[1].member(spec), second[1].member(spec)
         return lambda n, rows: a(n, rows) or b(n, rows)
 
     def witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
-        for kind in (first, second):
-            body = CLASSES[kind].witness(g, spec)
+        for kind, entry in branches:
+            body = entry.witness(g, spec)
             if body is not None:
                 return {"branch": kind, **body}
         return None
 
     def check(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
         kind = witness.get("branch")
-        return kind in (first, second) and CLASSES[kind].check(g, spec, witness)
+        return any(kind == name and entry.check(g, spec, witness) for name, entry in branches)
 
-    def families() -> Tuple[Family, ...]:
-        return tuple(CLASSES[kind].family for kind in (first, second))
+    digit_witness = None
+    digit = next(((kind, entry.digit_witness) for kind, entry in branches
+                  if entry.digit_witness), None)
+    if digit:
+        kind, fn = digit
 
+        def digit_witness(spec: ClassSpec, digits: Sequence[int],
+                          clique: Tuple[int, ...]) -> Dict:
+            return {"branch": kind, **fn(spec, digits, clique)}
+
+    families = [entry.family for _, entry in branches]
     family = Family(
-        lambda g: maximal_masks(mask for part in families() for mask in part.generate(g)),
-        lambda g, cap: sum(part.work(g, cap) for part in families()),
+        lambda g: maximal_masks(mask for part in families for mask in part.generate(g)),
+        lambda g, cap: sum(part.work(g, cap) for part in families),
     )
-    return ClassEntry(member, witness, check, family=family)
+    return ClassEntry(member, witness, check, digit_witness=digit_witness, family=family)
 
 
 def _flat(k: int) -> Callable[[int], int]:
@@ -674,14 +716,20 @@ _UNIPOLAR = ClassEntry(
     lambda spec: _member_unipolar_rows, _split_witness, _check_split_witness,
     family=Family(unipolar_family, unipolar_work, unipolar_best),
 )
+_CO_UNIPOLAR = replace(
+    _complement_entry(_UNIPOLAR), digit_witness=_co_bipartite_split,
+    family=Family(co_unipolar_family, co_unipolar_work),
+)
 
 CLASSES: Dict[str, ClassEntry] = {
     "bipartite": ClassEntry(
         lambda spec: _member_bipartite_rows, _bipartite_witness, _check_bipartite,
         f=lambda spec: _flat(2),
+        digit_witness=lambda spec, digits, clique: {"sides": _digit_sides(digits)},
     ),
     "chi-le": ClassEntry(
         _chi_le_member, _chi_le_witness, _check_chi_le, f=lambda spec: _flat(spec.k), param="k",
+        digit_witness=lambda spec, digits, clique: {"coloring": list(digits)},
     ),
     "chi-le-f": _chibound_entry(lambda spec: spec.f, param="f"),
     "chi-eq-omega": _chibound_entry(lambda spec: IDENTITY, param=None),
@@ -689,14 +737,11 @@ CLASSES: Dict[str, ClassEntry] = {
         lambda spec: _member_perfect_rows,
         lambda g, spec: {} if is_perfect(g)[0] else None,
         lambda g, spec, witness: is_perfect(g)[0],
-        holds_bipartite=True,
+        digit_witness=lambda spec, digits, clique: {},
     ),
     "unipolar": _UNIPOLAR,
-    "co-unipolar": replace(
-        _complement_entry(_UNIPOLAR), holds_bipartite=True,
-        family=Family(co_unipolar_family, co_unipolar_work),
-    ),
-    "gsp": replace(_union_entry("unipolar", "co-unipolar"), holds_bipartite=True),
+    "co-unipolar": _CO_UNIPOLAR,
+    "gsp": _union_entry(("unipolar", _UNIPOLAR), ("co-unipolar", _CO_UNIPOLAR)),
 }
 
 CLASS_KINDS = tuple(CLASSES)

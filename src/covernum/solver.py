@@ -7,12 +7,13 @@ other host with an edge the bounds step tries the paper's results before
 any enumeration.  A colouring class {chi <= f(omega)} has the exact cover
 number ceil_log(f(omega), chi), certified by the formula cover (method
 "formula").  Every other class lies inside {chi = omega}, so its cover
-number is at least max(2, ceil_log(omega, chi)); a class that declares in
-the registry that it holds every bipartite graph is also covered by
-ceil_log(2, chi) parts, and where the two bounds meet the bipartite
-formula cover's parts, re-witnessed for the class, settle it (method
-"bounds").  A host whose bounds cannot meet and whose sweep is over the
-edge budget fails before the exact chromatic number is computed.
+number is at least max(2, ceil_log(omega, chi)); a class whose registry
+entry witnesses the parts of a base-2 digit cover holds every bipartite
+graph, so it is also covered by ceil_log(2, chi) parts, and where the two
+bounds meet the bipartite formula cover's parts, witnessed for the class
+from their bipartitions, settle it (method "bounds").  A host whose
+bounds cannot meet and whose sweep is over the edge budget fails before
+the exact chromatic number is computed.
 
 A class whose registry family declares best (unipolar, which no formula
 bounds from above) is bounded by counting instead, on hosts within the
@@ -358,8 +359,10 @@ def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int],
     best = entry.family and entry.family.best
     if best is not None and g.edge_count <= budget.max_edges:
         return _greedy_bounds(g, spec, best)
+    # a class that witnesses base-2 digit parts holds every bipartite graph
+    holds_bipartite = entry.digit_witness is not None
     # without an upper bound, the lower one only answers a capped question
-    if cap is None and not entry.holds_bipartite:
+    if cap is None and not holds_bipartite:
         return 2, None
     omega = omega_of_rows(g.n, g.rows)
     if g.edge_count > budget.max_edges:
@@ -368,12 +371,12 @@ def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int],
         # the lower one cannot answer cap, only the sweep could: fail before
         # the exponential chromatic number.
         most = max(2, ceil_log(omega, first_fit_colors(g.n, g.rows)))
-        may_meet = entry.holds_bipartite and ceil_log(2, omega) <= most
+        may_meet = holds_bipartite and ceil_log(2, omega) <= most
         if not may_meet and (cap is None or cap >= most):
             raise _over_budget(g, budget)
     chi, coloring = chromatic_number(g)
     lower = max(2, ceil_log(omega, chi))
-    if not entry.holds_bipartite or ceil_log(2, chi) != lower:
+    if not holds_bipartite or ceil_log(2, chi) != lower:
         return lower, None
     return lower, ("bounds", lambda: digit_cover(g, spec, coloring, 2, ()))
 

@@ -385,3 +385,24 @@ def test_help_lists_every_class_and_suite(capsys, monkeypatch):
         assert (form in helps["cover"]) == (entry.f is not None), kind
     for suite in SUITES:
         assert f" {suite} " in helps["verify"] or f" {suite}\n" in helps["verify"], suite
+
+
+def test_closed_pipe_exits_quietly():
+    # stdout is a pipe whose read end is already closed, as when the reader
+    # exits first: no traceback, and not the verification failure status 1
+    import os
+    import subprocess
+    import sys
+
+    import covernum
+
+    src = os.path.dirname(os.path.dirname(covernum.__file__))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "covernum.cli", "gen", "complete:5"],
+                              stdout=write, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -1,4 +1,5 @@
 import pytest
+from oracles import naive_check_witness
 
 from covernum import (
     CapacityError,
@@ -20,12 +21,13 @@ from covernum import (
     make_graph,
     parse_class_spec,
     parse_f_spec,
+    parse_family_spec,
     product_coloring,
     spanning_subgraph,
     unipolar_subgraph_bound,
 )
-from covernum.covers import CoverCertificate, formula_cover
-from covernum.generators import random_graphs, triangle_free_chromatic
+from covernum.covers import CoverCertificate, digit_cover, formula_cover, witnessed_cover
+from covernum.generators import all_graphs, random_graphs, triangle_free_chromatic
 from covernum.graphs import full_edge_set
 from covernum.invariants import Coloring, check_coloring
 from covernum.recognizers import class_f, identity_f
@@ -240,3 +242,79 @@ def test_chibound_cover_on_triangle_free_towers():
         cert = chibound_cover(g, ident)
         assert len(cert.parts) == formula_chibound(c, 2, ident)
         assert check_certificate(g, cert)
+
+
+DIGIT_FORMULA_SPECS = [parse_class_spec(t) for t in (
+    "bipartite", "chi-le:2", "chi-le:3", "chi-le:4", "chi-le-f:identity", "chi-le-f:plus:1",
+    "chi-le-f:pow:2", "chi-le-f:const:2", "chi-le-f:const:3", "chi-le-f:table:2,3,3,4,5,6",
+    "chi-eq-omega",
+)]
+DIGIT_BOUNDS_SPECS = [parse_class_spec(t) for t in ("perfect", "co-unipolar", "gsp")]
+
+
+def _digit_covers(g):
+    """(spec, cert) for each formula cover of g and each base-2 digit cover
+    the bounds route builds for the classes that hold every bipartite graph."""
+    omega = clique_number(g)[0]
+    for spec in DIGIT_FORMULA_SPECS:
+        table = spec.f.table if spec.f else ()
+        if not table or omega <= len(table):  # a table f is undefined past its end
+            yield spec, formula_cover(g, spec)
+    coloring = chromatic_number(g)[1]
+    for spec in DIGIT_BOUNDS_SPECS:
+        yield spec, digit_cover(g, spec, coloring, 2, ())
+
+
+def _flip_digit(part, witness):
+    """The witness with one endpoint of the part's lowest edge moved to
+    the other endpoint's digit, or None where it carries no digits."""
+    u, v = part.edges()[0]
+    if "coloring" in witness:
+        colors = list(witness["coloring"])
+        colors[u] = colors[v]
+        return dict(witness, coloring=colors)
+    sides = witness.get("sides") or (
+        witness.get("clique_side") is not None
+        and [witness["clique_side"], witness["clusters"][0]])
+    if not sides:
+        return None
+    to = 0 if v in sides[0] else 1
+    moved = [[w for w in side if w != u] for side in sides]
+    moved[to] = sorted(moved[to] + [u])
+    if "sides" in witness:
+        return dict(witness, sides=moved)
+    return dict(witness, clique_side=moved[0], clusters=[moved[1]])
+
+
+def test_digit_witnesses_pass_the_checks():
+    # Every formula and base-2 digit cover is checked, matches the parts
+    # that witnessed_cover builds from its masks (so each part is a member
+    # by the class's own search), and loses its certificate when a part's
+    # witness has one vertex's digit flipped or, where the colours used
+    # then exceed f of the smaller clique, a clique vertex dropped.
+    hosts = [g for n in range(2, 6) for g in all_graphs(n) if g.edge_count]
+    hosts += [g for n in (9, 12) for g in random_graphs(n, 40, 20261019 + n)]
+    hosts += [parse_family_spec(t) for t in (
+        "complete:7", "cycle:7", "hypercube:3", "kkl:2,4", "mycielski:4", "far:1,2")]
+    dropped = 0
+    for g in hosts:
+        for spec, cert in _digit_covers(g):
+            assert check_certificate(g, cert), (g, str(spec))
+            masks = [p.bits for p in cert.parts]
+            assert witnessed_cover(g, spec, masks).parts == cert.parts, (g, str(spec))
+            for i, (part, witness) in enumerate(zip(cert.parts, cert.witnesses)):
+                sub = spanning_subgraph(g, part)
+                if spec.kind != "perfect":
+                    assert naive_check_witness(sub, spec, witness), (g, str(spec))
+                mutated = [_flip_digit(part, witness)]
+                clique = witness.get("clique")
+                if clique and len(set(witness["coloring"])) > class_f(spec)(len(clique) - 1):
+                    mutated.append(dict(witness, clique=clique[1:]))
+                    dropped += 1
+                for bad in mutated:
+                    if bad is None:
+                        continue
+                    wits = cert.witnesses[:i] + (bad,) + cert.witnesses[i + 1:]
+                    forged = CoverCertificate(g, spec, cert.parts, wits, cert.formula)
+                    assert not check_certificate(g, forged), (g, str(spec), bad)
+    assert dropped

@@ -241,3 +241,11 @@ def test_components_match_the_vertex_walk():
             for v in bits_of(mask):
                 union |= g.rows[v]
             assert neighbourhood(g.rows, mask) == union
+
+
+def test_edge_count_is_cached_outside_equality():
+    g = make_graph(5, [(0, 1), (1, 2), (3, 4)])
+    h = Graph(5, g.rows)
+    assert g.edge_count == 3 and "edge_count" in vars(g) and "edge_count" not in vars(h)
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert complement(g).edge_count == 7

@@ -611,4 +611,4 @@ def test_solver_outputs_are_pinned():
                                       below and certificate_to_json(below)]).encode())
     assert {"host-member", "formula", "bounds", "greedy", "structural", "partition",
             "subset"} <= methods
-    assert digest.hexdigest() == "5faed4accaaca102172f5173fe5330a7a2942c3754470364076336d6f8eba536"
+    assert digest.hexdigest() == "3d2764f238cec1a1de071a47abbb4dc36ac0d99190a0ef3354ea26e1c9b2bbe3"
