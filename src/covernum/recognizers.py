@@ -27,7 +27,7 @@ maximal members inside a host for the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graphs import (
@@ -448,6 +448,15 @@ def _member_unipolar_rows(n: int, rows: Sequence[int]) -> bool:
     return unipolar_split_rows(n, rows) is not None
 
 
+def _member_co_unipolar_rows(n: int, rows: Sequence[int]) -> bool:
+    n, rows = _drop_isolated(rows)
+    return unipolar_split_rows(n, complement_rows(n, rows)) is not None
+
+
+def _member_gsp_rows(n: int, rows: Sequence[int]) -> bool:
+    return _member_unipolar_rows(n, rows) or _member_co_unipolar_rows(n, rows)
+
+
 def _member_chi_le_f_rows(n: int, rows: Sequence[int], f: FSpec) -> bool:
     if n == 0:
         return True
@@ -500,12 +509,17 @@ def _check_chi_le(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
     return proper(g.rows, colors)
 
 
-def _split_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
-    res = is_unipolar(g)
-    if res is None:
+def _split_body(split: Optional[Tuple[int, List[int]]]) -> Optional[Dict]:
+    """The witness body of a split (A mask, cluster masks), None of None."""
+    if split is None:
         return None
-    a, comps = res
+    a, comps = split
     return {"clique_side": bits_of(a), "clusters": [bits_of(c) for c in comps]}
+
+
+def _gsp_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
+    res = is_gsp(g)
+    return None if res is None else {"branch": res[0], **_split_body(res[1])}
 
 
 def _digit_sides(digits: Sequence[int]) -> List[List[int]]:
@@ -538,6 +552,20 @@ def _check_split_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
         if any((g.rows[v] | 1 << v) & ~a_mask != c_mask for v in c):
             return False
     return True
+
+
+def _check_co_split_witness(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
+    return _check_split_witness(complement(g), spec, witness)
+
+
+# gsp's witness names the branch that holds; a name that is not a str
+# equals none of these, so a malformed branch is rejected, not raised on.
+_GSP_BRANCHES = (("unipolar", _check_split_witness), ("co-unipolar", _check_co_split_witness))
+
+
+def _check_gsp(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
+    branch = witness.get("branch")
+    return any(branch == name and check(g, spec, witness) for name, check in _GSP_BRANCHES)
 
 
 # --- the class registry ---
@@ -643,68 +671,6 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
     return ClassEntry(member, witness, check, f_of, param, digit_witness)
 
 
-def _complement_entry(base: ClassEntry) -> ClassEntry:
-    """Graphs whose complement lies in base.  Membership drops isolated
-    vertices first, which must be sound for base: they turn into universal
-    vertices of the complement."""
-
-    def member(spec: ClassSpec) -> MemberFn:
-        inner = base.member(spec)
-
-        def co_member(n: int, rows: Sequence[int]) -> bool:
-            n, rows = _drop_isolated(rows)
-            return inner(n, complement_rows(n, rows))
-
-        return co_member
-
-    return ClassEntry(
-        member,
-        lambda g, spec: base.witness(complement(g), spec),
-        lambda g, spec, witness: base.check(complement(g), spec, witness),
-    )
-
-
-def _union_entry(first: Tuple[str, ClassEntry], second: Tuple[str, ClassEntry]) -> ClassEntry:
-    """Graphs in either class, each given as (kind, entry); the witness
-    names the branch that holds, trying first before second.  Both
-    classes must declare a family: the union's maximal members are the
-    inclusion-maximal ones of both families together.  A digit cover part
-    takes the first branch that declares a digit witness."""
-    branches = (first, second)
-
-    def member(spec: ClassSpec) -> MemberFn:
-        a, b = first[1].member(spec), second[1].member(spec)
-        return lambda n, rows: a(n, rows) or b(n, rows)
-
-    def witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
-        for kind, entry in branches:
-            body = entry.witness(g, spec)
-            if body is not None:
-                return {"branch": kind, **body}
-        return None
-
-    def check(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
-        kind = witness.get("branch")
-        return any(kind == name and entry.check(g, spec, witness) for name, entry in branches)
-
-    digit_witness = None
-    digit = next(((kind, entry.digit_witness) for kind, entry in branches
-                  if entry.digit_witness), None)
-    if digit:
-        kind, fn = digit
-
-        def digit_witness(spec: ClassSpec, digits: Sequence[int],
-                          clique: Tuple[int, ...]) -> Dict:
-            return {"branch": kind, **fn(spec, digits, clique)}
-
-    families = [entry.family for _, entry in branches]
-    family = Family(
-        lambda g: maximal_masks(mask for part in families for mask in part.generate(g)),
-        lambda g, cap: sum(part.work(g, cap) for part in families),
-    )
-    return ClassEntry(member, witness, check, digit_witness=digit_witness, family=family)
-
-
 def _flat(k: int) -> Callable[[int], int]:
     return lambda omega: k
 
@@ -712,15 +678,6 @@ def _flat(k: int) -> Callable[[int], int]:
 # Unipolar and co-unipolar graphs are perfect, so they and gsp have chi =
 # omega; the complement of a bipartite graph is unipolar (two cliques), but
 # C6 is bipartite and not unipolar.
-_UNIPOLAR = ClassEntry(
-    lambda spec: _member_unipolar_rows, _split_witness, _check_split_witness,
-    family=Family(unipolar_family, unipolar_work, unipolar_best),
-)
-_CO_UNIPOLAR = replace(
-    _complement_entry(_UNIPOLAR), digit_witness=_co_bipartite_split,
-    family=Family(co_unipolar_family, co_unipolar_work),
-)
-
 CLASSES: Dict[str, ClassEntry] = {
     "bipartite": ClassEntry(
         lambda spec: _member_bipartite_rows, _bipartite_witness, _check_bipartite,
@@ -739,9 +696,29 @@ CLASSES: Dict[str, ClassEntry] = {
         lambda g, spec, witness: is_perfect(g)[0],
         digit_witness=lambda spec, digits, clique: {},
     ),
-    "unipolar": _UNIPOLAR,
-    "co-unipolar": _CO_UNIPOLAR,
-    "gsp": _union_entry(("unipolar", _UNIPOLAR), ("co-unipolar", _CO_UNIPOLAR)),
+    "unipolar": ClassEntry(
+        lambda spec: _member_unipolar_rows,
+        lambda g, spec: _split_body(is_unipolar(g)),
+        _check_split_witness,
+        family=Family(unipolar_family, unipolar_work, unipolar_best),
+    ),
+    "co-unipolar": ClassEntry(
+        lambda spec: _member_co_unipolar_rows,
+        lambda g, spec: _split_body(is_co_unipolar(g)),
+        _check_co_split_witness,
+        digit_witness=_co_bipartite_split,
+        family=Family(co_unipolar_family, co_unipolar_work),
+    ),
+    # the inclusion-maximal members of either branch's family
+    "gsp": ClassEntry(
+        lambda spec: _member_gsp_rows, _gsp_witness, _check_gsp,
+        digit_witness=lambda spec, digits, clique: {
+            "branch": "co-unipolar", **_co_bipartite_split(spec, digits, clique)},
+        family=Family(
+            lambda g: maximal_masks([*unipolar_family(g), *co_unipolar_family(g)]),
+            lambda g, cap: unipolar_work(g, cap) + co_unipolar_work(g, cap),
+        ),
+    ),
 }
 
 CLASS_KINDS = tuple(CLASSES)

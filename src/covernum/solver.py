@@ -62,8 +62,8 @@ exactly when its work is at most 2^m.  The generators agree (tested).
 
 The sweeps test membership without witnesses (membership_fn); a swept
 cover's certificate comes from covers.witnessed_cover, which witnesses
-each part.  `max_class_subgraph_size` for unipolar runs
-structural.unipolar_max_edges, best's recursion, instead of the family.
+each part.  `max_class_subgraph_size` asks a class's family for best
+where it declares one (unipolar), instead of building the family.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .covers import CoverCertificate, digit_cover, digit_layout, no_member_cover
 from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows
 from .invariants import ceil_log, chromatic_number, first_fit_colors, omega_of_rows
 from .recognizers import CLASSES, ClassSpec, class_f, color_bound, in_class, membership_fn
-from .structural import maximal_masks, unipolar_max_edges, unipolar_work
+from .structural import maximal_masks
 
 # Unused here: bench/tracing.py hooks this name on this module.
 from .graphs import spanning_subgraph  # noqa: F401
@@ -456,14 +456,16 @@ def max_class_subgraph_size(
 ) -> int:
     """Most edges of any class member inside g.
 
-    Unipolar answers by the structural family's max-edge recursion, past
-    the edge budget too while its predicted work stays within 2^max_edges;
-    every other class reads off the maximal family.
+    A class whose registry family declares best (unipolar) answers by it,
+    past the edge budget too while the family's predicted work stays
+    within 2^max_edges; every other class reads off the maximal family.
     """
-    if spec.kind == "unipolar":
+    family = CLASSES[spec.kind].family
+    best = family and family.best
+    if best is not None:
         cap = 1 << budget.max_edges
-        if g.edge_count > budget.max_edges and unipolar_work(g, cap) > cap:
+        if g.edge_count > budget.max_edges and family.work(g, cap) > cap:
             raise _over_budget(g, budget)
-        return unipolar_max_edges(g)
-    family, _ = family_maximal_masks(g, spec, budget)
-    return max((mask.bit_count() for mask in family), default=0)
+        return best(g, (1 << g.edge_count) - 1)[0]
+    masks, _ = family_maximal_masks(g, spec, budget)
+    return max((mask.bit_count() for mask in masks), default=0)

@@ -14,7 +14,8 @@ the masks ascending, as the subset sweep does.
   adjacent to all of it only adds edges, so A ranges over the maximal
   cliques of G; the maximal cluster edge sets of each remaining vertex set
   are memoised.  `unipolar_best` keeps only each set's best cluster edge
-  set, counted inside a given edge mask; `unipolar_max_edges` counts all.
+  set, counted inside a given edge mask; over all of G's edges that is the
+  most edges of a unipolar subgraph.
 * co-unipolar: the complement of a member is unipolar, so a member is an
   independent set A plus a complete multipartite graph on the rest.  Its
   parts must hold every non-edge of G between rest vertices, so the
@@ -204,11 +205,6 @@ def unipolar_best(g: Graph, within: int) -> Tuple[int, int]:
             most = count
             best = count, touch | mask
     return best
-
-
-def unipolar_max_edges(g: Graph) -> int:
-    """Most edges of a unipolar subgraph of g."""
-    return unipolar_best(g, (1 << g.edge_count) - 1)[0]
 
 
 def unipolar_work(g: Graph, cap: int) -> int:

@@ -1,6 +1,7 @@
 """Format round-trips, cross-checked against networkx for graph6."""
 
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -133,16 +134,20 @@ def test_edge_list_roundtrip():
 
 
 def test_edge_list_rejects_bad_header_and_counts():
-    with pytest.raises(ParseError):
-        parse_edge_list("4\n0 1\n")
-    with pytest.raises(ParseError):
-        parse_edge_list("4 2\n0 1\n")
-    with pytest.raises(ParseError):
-        parse_edge_list("4 1\n0 1\n2 3\n")
-    with pytest.raises(ParseError):
-        parse_edge_list("4 2\n0 1\n0 1\n")
-    with pytest.raises(ParseError):
-        parse_edge_list("4 1\n1 1\n")
+    for text, message in (
+        ("", "empty edge list input"),
+        ("4\n0 1\n", 'edge list header must be "n m"'),
+        ("4 x\n", 'edge list header must be two integers "n m"'),
+        ("-1 0\n", "negative counts in edge list header"),
+        ("4 2\n0 1\n", "header announces 2 edges but body has 1 lines"),
+        ("4 1\n0 1\n2 3\n", "header announces 1 edges but body has 2 lines"),
+        ("4 1\n0 1 2\n", 'edge line "0 1 2" must be "u v"'),
+        ("4 1\n0 a\n", 'edge line "0 a" must be two integers'),
+        ("4 2\n0 1\n0 1\n", "duplicate edge (0, 1)"),
+        ("4 1\n1 1\n", "self loop at vertex 1"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_edge_list(text)
 
 
 def test_dimacs_roundtrip_with_comments():
@@ -158,14 +163,21 @@ def test_dimacs_is_one_based():
 
 
 def test_dimacs_rejects_malformed():
-    with pytest.raises(ParseError):
-        parse_dimacs("p edge 3 2\ne 1 2\n")
-    with pytest.raises(ParseError):
-        parse_dimacs("p edge 3 1\ne 0 2\n")
-    with pytest.raises(ParseError):
-        parse_dimacs("p edge 3 2\ne 1 2\ne 1 2\n")
-    with pytest.raises(ParseError):
-        parse_dimacs("e 1 2\n")
+    for text, message in (
+        ("p edge 3 2\ne 1 2\n", "header announces 2 edges but body has 1"),
+        ("p edge 3 1\ne 0 2\n", "edge (-1, 1) outside vertex range 0..2"),
+        ("p edge 3 2\ne 1 2\ne 1 2\n", "duplicate edge (1, 2)"),
+        ("e 1 2\n", "DIMACS edge line before problem line"),
+        ("p edge 3 0\np edge 3 0\n", "duplicate DIMACS problem line"),
+        ("p col 3 0\n", 'DIMACS problem line must be "p edge n m"'),
+        ("p edge 3 x\n", "non-integer counts in DIMACS problem line"),
+        ("p edge 3 1\ne 1 2 3\n", 'DIMACS edge line "e 1 2 3" must be "e u v"'),
+        ("p edge 3 1\ne 1 x\n", 'DIMACS edge line "e 1 x" must be integers'),
+        ("p edge 3 0\nx 1 2\n", 'unrecognized DIMACS line "x 1 2"'),
+        ("c only a comment\n", "missing DIMACS problem line"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_dimacs(text)
 
 
 def test_detect_format():

@@ -138,6 +138,8 @@ def test_parse_family_spec():
     assert parse_family_spec("far:1,2") == far_graph(1, 2)
     with pytest.raises(ValueError):
         parse_family_spec("petersen")
+    with pytest.raises(ValueError, match="unknown family 'wheel'"):
+        parse_family_spec("wheel:5")
     with pytest.raises(ValueError):
         parse_family_spec("complete:x")
     with pytest.raises(CapacityError):

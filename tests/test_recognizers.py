@@ -354,6 +354,20 @@ def test_check_witness_rejects_tampering():
     assert not check_certificate(k3, CoverCertificate(k3, spec, (full_edge_set(k3),), (w,), 1))
 
 
+def test_check_witness_rejects_malformed_split_branches():
+    # Q3 is co-unipolar and not unipolar, so its gsp witness takes the
+    # co-unipolar branch; any other branch name, or none, is rejected
+    q3 = hypercube(3)
+    gsp = parse_class_spec("gsp")
+    w = in_class(q3, gsp)
+    assert w["branch"] == "co-unipolar" and check_witness(q3, gsp, w)
+    body = {k: v for k, v in w.items() if k != "branch"}
+    assert not check_witness(q3, gsp, body)
+    for branch in (["co-unipolar"], "perfect", "unipolar"):
+        assert not check_witness(q3, gsp, dict(body, branch=branch)), branch
+    assert body == dict(in_class(q3, parse_class_spec("co-unipolar")), **{"class": "gsp"})
+
+
 def test_check_witness_takes_lists_and_tuples_alike():
     bipartite = parse_class_spec("bipartite")
     for sides in ([[0, 2], (1, 3)], ((0, 2), [1, 3]), ([0, 2], [1, 3])):

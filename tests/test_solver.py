@@ -29,7 +29,7 @@ from covernum import (
 from covernum.generators import all_graphs, random_graphs
 from covernum.graphs import edge_index, mask_rows
 from covernum.recognizers import membership_fn
-from covernum.structural import unipolar_best, unipolar_family, unipolar_max_edges, unipolar_work
+from covernum.structural import unipolar_best, unipolar_family, unipolar_work
 from covernum.verify import INCLUSION_PAIRS
 
 SPECS = [parse_class_spec(t) for t in (
@@ -253,8 +253,23 @@ def test_max_k_cap():
 
 def test_chi_le_1_has_no_usable_parts():
     # chi <= 1 admits only edgeless members, so nothing covers any edge
-    with pytest.raises(ValueError, match="no member covering"):
-        exact_cover_number(complete(2), parse_class_spec("chi-le:1"))
+    spec = parse_class_spec("chi-le:1")
+    for solve in (exact_cover_number, sweep_cover_number):
+        with pytest.raises(ValueError, match=r"no member covering edge \(0, 1\)"):
+            solve(complete(2), spec)
+
+
+def test_branch_and_bound_answers_no_under_the_cap():
+    # unipolar cover number 3 by the structural sweep, counting bound 2:
+    # under a cap of 2 the bounds settle nothing and branch and bound
+    # finds no cover
+    g = parse_graph6("LOA?CA???tYAIc")
+    spec = parse_class_spec("unipolar")
+    res = exact_cover_number(g, spec)
+    assert (g.n, g.edge_count, res.value, res.stats.method) == (13, 16, 3, "structural")
+    assert -(-g.edge_count // max_class_subgraph_size(g, spec)) <= 2
+    assert decide_cover(g, spec, 2) is None
+    assert check_certificate(g, decide_cover(g, spec, 3))
 
 
 def test_q3_unipolar_values():
@@ -282,6 +297,19 @@ def test_q4_unipolar_subgraph_fallback():
         max_class_subgraph_size(q4, parse_class_spec("perfect"))
 
 
+def _forbid_unipolar_best(monkeypatch):
+    """Make the unipolar family's best fail the test if it is ever called."""
+    from dataclasses import replace
+
+    from covernum.recognizers import CLASSES
+
+    def best(g, within):
+        pytest.fail("the max-edge recursion ran past the budget gate")
+
+    entry = CLASSES["unipolar"]
+    monkeypatch.setitem(CLASSES, "unipolar", replace(entry, family=replace(entry.family, best=best)))
+
+
 def test_unipolar_subgraph_size_past_the_edge_budget(monkeypatch):
     # every host here has more edges than the default budget of 22
     spec = parse_class_spec("unipolar")
@@ -290,7 +318,7 @@ def test_unipolar_subgraph_size_past_the_edge_budget(monkeypatch):
     # past the budget, predicted work decides, before any recursion runs
     g = random_graphs(24, 1, 5)[0]
     assert unipolar_work(g, 1 << 62) > 1 << 25
-    monkeypatch.setattr("covernum.solver.unipolar_max_edges", None)
+    _forbid_unipolar_best(monkeypatch)
     with pytest.raises(BudgetError):
         max_class_subgraph_size(g, spec)
 
@@ -299,7 +327,7 @@ def test_unipolar_gate_rejects_dense_hosts_before_the_clique_walk(monkeypatch):
     # K_30 has 2^30 cliques; the vertex-set factor alone exceeds 2^22
     spec = parse_class_spec("unipolar")
     monkeypatch.setattr("covernum.structural._clique_sides", None)
-    monkeypatch.setattr("covernum.solver.unipolar_max_edges", None)
+    _forbid_unipolar_best(monkeypatch)
     for g in (complete(30), complete(64), random_graphs(48, 1, 3)[0]):
         with pytest.raises(BudgetError):
             max_class_subgraph_size(g, spec)
@@ -327,9 +355,10 @@ def test_unipolar_work_cap_is_exact_up_to_the_cap():
 def test_unipolar_max_edges_matches_the_family():
     hosts = [g for n in range(6) for g in all_graphs(n)]
     hosts += [g for n in range(7, 11) for g in random_graphs(n, 12, 40 + n)]
+    spec = parse_class_spec("unipolar")
     for g in hosts:
         most = max((mask.bit_count() for mask in unipolar_family(g)), default=0)
-        assert unipolar_max_edges(g) == most, g
+        assert max_class_subgraph_size(g, spec) == most, g
 
 
 def test_unipolar_best_matches_the_family():
@@ -343,12 +372,13 @@ def test_unipolar_best_matches_the_family():
     hosts = [g for n in range(6) for g in all_graphs(n)]
     hosts += [make_graph(6, a.edges()) for a in nx.graph_atlas_g() if a.number_of_nodes() == 6]
     hosts += [g for n in range(7, 10) for g in random_graphs(n, 16, 90 + n)]
-    member = membership_fn(parse_class_spec("unipolar"))
+    spec = parse_class_spec("unipolar")
+    member = membership_fn(spec)
     rng = random.Random(16)
     for g in hosts:
         full = (1 << g.edge_count) - 1
         family = unipolar_family(g)
-        assert unipolar_best(g, full)[0] == unipolar_max_edges(g), g
+        assert unipolar_best(g, full)[0] == max_class_subgraph_size(g, spec), g
         for within in (full, rng.getrandbits(g.edge_count), rng.getrandbits(g.edge_count)):
             count, mask = unipolar_best(g, within)
             assert count == max((f & within).bit_count() for f in family), (g, within)
