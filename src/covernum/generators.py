@@ -9,7 +9,15 @@ from __future__ import annotations
 
 from typing import Iterator, List, Sequence
 
-from .graphs import MAX_VERTICES, CapacityError, Graph, disjoint_union, make_graph
+from .graphs import (
+    MAX_VERTICES,
+    CapacityError,
+    Graph,
+    _derived_graph,
+    disjoint_union,
+    make_graph,
+    symmetric_closure,
+)
 
 
 def complete(n: int) -> Graph:
@@ -115,36 +123,46 @@ def splitmix64(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
+def _pair_bits_graph(n: int, bits: int) -> Graph:
+    """The graph on n vertices whose pair i in row order, (0, 1), (0, 2),
+    ..., (0, n-1), (1, 2), ..., is an edge iff bit i of bits is set; bits
+    past the last pair are ignored.  Row u takes the next n-1-u bits,
+    shifted past u, and the closure adds the lower triangle."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise CapacityError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    upper = []
+    for u in range(n):
+        width = n - 1 - u
+        upper.append((bits & ((1 << width) - 1)) << (u + 1))
+        bits >>= width
+    return _derived_graph(n, symmetric_closure(n, upper))
+
+
 def random_graphs(n: int, count: int, seed: int) -> List[Graph]:
     """count graphs on n labelled vertices, each pair an edge with
-    probability 1/2, drawn from one splitmix64 stream."""
+    probability 1/2, drawn from one splitmix64 stream.
+
+    Each graph takes the next ceil(m / 64) words of the stream, m =
+    n(n-1)/2, joined low bits first (word j is bits 64j..64j+63, the
+    high bits of the last word unused); bit i is pair i in row order,
+    (0, 1), (0, 2), ..., (n-2, n-1).  Seeds and pinned outputs rely on
+    this layout."""
     m = n * (n - 1) // 2
     stream = splitmix64(seed)
     out = []
     for _ in range(count):
         bits = 0
-        got = 0
-        while got < m:
+        for got in range(0, m, 64):
             bits |= next(stream) << got
-            got += 64
-        bits &= (1 << m) - 1
-        edges = []
-        i = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if bits >> i & 1:
-                    edges.append((u, v))
-                i += 1
-        out.append(make_graph(n, edges))
+        out.append(_pair_bits_graph(n, bits))
     return out
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
-    """Every labelled graph on n vertices, by edge-mask order."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        yield make_graph(n, edges)
+    """Every labelled graph on n vertices, by edge-mask order: mask bit i
+    is pair i in row order, as in random_graphs."""
+    for mask in range(1 << n * (n - 1) // 2):
+        yield _pair_bits_graph(n, mask)
 
 
 def parse_family_spec(text: str) -> Graph:

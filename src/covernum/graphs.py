@@ -188,8 +188,9 @@ class Graph:
 def _derived_graph(n: int, rows: Tuple[int, ...]) -> Graph:
     """Graph(n, rows) without __post_init__'s check, for rows that follow
     from a checked graph (its complement, rows masked from its own) or
-    are symmetric and in range by construction (a closed lower triangle);
-    n is in 0..MAX_VERTICES and rows is a tuple of n ints."""
+    are symmetric and in range by construction (a closed triangle, an
+    edge list make_graph checked edge by edge); n is in 0..MAX_VERTICES
+    and rows is a tuple of n ints."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", rows)
@@ -212,7 +213,7 @@ def make_graph(n: int, edges: Iterable[Edge]) -> Graph:
             raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return _derived_graph(n, tuple(rows))
 
 
 def complement_rows(n: int, rows: Sequence[int]) -> List[int]:

@@ -11,7 +11,6 @@ JSON-ready dicts: parameters in, failures out, no timestamps.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -49,11 +48,15 @@ def _pool_map(fn: Callable, items: Sequence, workers: int) -> List:
     """[fn(x) for x in items], spread over at most `workers` processes.
 
     The pool never outnumbers the items or the CPUs: under the fork start
-    method a pool starts all its workers at the first submit.
+    method a pool starts all its workers at the first submit.  The pool
+    machinery (multiprocessing, logging) is imported only here, so a
+    serial run never loads it.
     """
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items, chunksize=chunk))

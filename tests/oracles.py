@@ -21,6 +21,10 @@ answered without one: the graph's odd-hole scan, then its complement's.
 key_array_k_colorable_rows is the DSATUR search before its saturation and
 degree counters were bit-sliced over vertex masks: one key per vertex,
 picked by a max() scan and raised or lowered one neighbour at a time.
+per_pair_random_graphs and per_pair_all_graphs are the generators
+before graphs were built straight from their bit fields: bit i is pair i
+in row order, each set bit becomes an edge, and make_graph builds the
+graph.
 """
 
 import random
@@ -30,6 +34,7 @@ from typing import Iterator, List, Tuple
 
 from covernum import CapacityError, Graph, ParseError, complement, make_graph
 from covernum.covers import witnessed_cover
+from covernum.generators import splitmix64
 from covernum.graphs import MAX_VERTICES, complement_rows, edge_index, induced_rows, mask_rows
 from covernum.invariants import chromatic_number, omega_of_rows
 from covernum.recognizers import class_f, cluster_components, find_odd_hole, membership_fn
@@ -599,3 +604,35 @@ def witnessed_host_member(g: Graph, spec):
     if not membership_fn(spec)(g.n, g.rows):
         return None
     return witnessed_cover(g, spec, [(1 << g.edge_count) - 1])
+
+
+def _per_pair_graph(n: int, bits: int) -> Graph:
+    edges = []
+    i = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if bits >> i & 1:
+                edges.append((u, v))
+            i += 1
+    return make_graph(n, edges)
+
+
+def per_pair_random_graphs(n: int, count: int, seed: int) -> List[Graph]:
+    """count graphs, each from the next ceil(m / 64) splitmix64 words
+    joined low bits first, masked to the m = n(n-1)/2 pairs."""
+    m = n * (n - 1) // 2
+    stream = splitmix64(seed)
+    out = []
+    for _ in range(count):
+        bits = 0
+        got = 0
+        while got < m:
+            bits |= next(stream) << got
+            got += 64
+        out.append(_per_pair_graph(n, bits & ((1 << m) - 1)))
+    return out
+
+
+def per_pair_all_graphs(n: int) -> Iterator[Graph]:
+    for mask in range(1 << n * (n - 1) // 2):
+        yield _per_pair_graph(n, mask)

@@ -2,6 +2,7 @@ import pytest
 
 from covernum import (
     CapacityError,
+    Graph,
     chromatic_number,
     clique_number,
     complete,
@@ -16,6 +17,8 @@ from covernum import (
     triangle_free_chromatic,
 )
 from covernum.generators import all_graphs, random_graphs, splitmix64
+from covernum.verify import DEFAULT_SEED
+from oracles import per_pair_all_graphs, per_pair_random_graphs
 
 
 def test_complete():
@@ -126,6 +129,28 @@ def test_all_graphs_is_exhaustive():
     assert len(got) == 8
     assert len(set(got)) == 8
     assert len(list(all_graphs(4))) == 64
+
+
+def test_generators_match_the_per_pair_construction():
+    for n in list(range(13)) + [31, 63, 64]:
+        count = 40 if n <= 12 else 3
+        for seed in (0, 1, 7, DEFAULT_SEED, 2**63 + 5):
+            got = random_graphs(n, count, seed)
+            assert got == per_pair_random_graphs(n, count, seed), (n, seed)
+            assert all(type(g.rows) is tuple and Graph(n, g.rows) == g for g in got)
+    for n in range(6):
+        got = list(all_graphs(n))
+        assert got == list(per_pair_all_graphs(n)), n
+        assert all(Graph(n, g.rows) == g for g in got)
+
+
+def test_generators_reject_vertex_counts_outside_capacity():
+    for n in (-1, 65):
+        with pytest.raises(CapacityError):
+            random_graphs(n, 1, 0)
+        graphs = all_graphs(n)
+        with pytest.raises(CapacityError):
+            next(graphs)
 
 
 def test_parse_family_spec():

@@ -41,15 +41,36 @@ def test_make_graph_collapses_duplicates():
 
 
 def test_make_graph_rejects_self_loop():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^self loop at vertex 1$"):
         make_graph(3, [(1, 1)])
+    # the first bad edge names the error
+    with pytest.raises(ValueError, match=r"^self loop at vertex 1$"):
+        make_graph(3, [(0, 1), (1, 1), (0, 3)])
 
 
 def test_make_graph_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0, 3\) outside vertex range 0\.\.2$"):
         make_graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(-1, 0\) outside vertex range 0\.\.2$"):
         make_graph(3, [(-1, 0)])
+    with pytest.raises(ValueError, match=r"^edge \(0, 3\) outside vertex range 0\.\.2$"):
+        make_graph(3, [(0, 3), (1, 1), (-1, 0)])
+
+
+def test_make_graph_rows_pass_the_row_check():
+    """make_graph skips Graph's row check, so every graph it returns must
+    pass it: edge lists with repeats and both orientations of a pair."""
+    rng = random.Random(11)
+    for n in list(range(0, 18)) + [31, 32, 33, 63, 64]:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for _ in range(6):
+            edges = rng.sample(pairs, rng.randint(0, len(pairs))) if pairs else []
+            edges += [(v, u) for u, v in edges if rng.random() < 0.3]
+            edges += [rng.choice(edges) for _ in range(len(edges) // 4)] if edges else []
+            rng.shuffle(edges)
+            g = make_graph(n, edges)
+            assert Graph(g.n, g.rows) == g
+            assert g.edges() == sorted({(min(e), max(e)) for e in edges})
 
 
 def test_vertex_capacity():

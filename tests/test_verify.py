@@ -1,5 +1,9 @@
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -85,7 +89,8 @@ def test_pool_is_capped_at_items_and_cpus(monkeypatch):
         def map(self, fn, items, chunksize):
             return list(map(fn, items))
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    # _pool_map imports the pool class at call time, from here
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
     assert verify._pool_map(abs, [-1, -2, -3], 1000) == [1, 2, 3]
     assert verify._pool_map(abs, list(range(-50, 0)), 1000) == list(range(50, 0, -1))
@@ -97,6 +102,17 @@ def test_pool_is_capped_at_items_and_cpus(monkeypatch):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
     assert verify._pool_map(abs, [-1, -2, -3], 1000) == [1, 2, 3]
     assert sizes == [3, 4, 2, 4]
+
+
+def test_import_loads_no_process_pool():
+    # -S: a bare interpreter, so no site hook can load these first
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    code = ("import sys, covernum, covernum.cli; print(sorted(m for m in "
+            "('concurrent.futures', 'multiprocessing', 'logging') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], stdout=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60,
+                          check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_arithmetic_suite_sweep():
