@@ -188,8 +188,8 @@ def parse_family_spec(text: str) -> Graph:
         if head == "far":
             k, l = rest.split(",")
             return far_graph(int(k), int(l))
-    except (ValueError, CapacityError) as exc:
-        if isinstance(exc, CapacityError):
-            raise
+    except CapacityError:
+        raise
+    except ValueError as exc:
         raise ValueError(f"bad family spec {text!r}: {exc}") from None
     raise ValueError(f"unknown family {head!r}")

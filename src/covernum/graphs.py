@@ -20,14 +20,12 @@ Edge = Tuple[int, int]
 
 class _BitMatrix:
     """Square 0/1 matrices of side w packed into one int, row r in bits
-    r*w .. r*w+w-1, so that a check or a transpose over all rows is a few
-    big-int operations instead of a loop over vertices."""
+    r*w .. r*w+w-1, so that a transpose over all rows is a few big-int
+    operations instead of a loop over vertices."""
 
     def __init__(self, w: int) -> None:
         self.w = w
         self.code = next(c for c in "BHILQ" if array(c).itemsize * 8 == w)
-        self.diagonal = sum(1 << (r * w + r) for r in range(w))
-        self.row_starts = sum(1 << (r * w) for r in range(w))
         # Transpose by block swaps: at level j, entry (r, c) with bit j
         # clear in r and set in c trades places with (r + j, c - j).
         self.swaps = []
@@ -39,8 +37,6 @@ class _BitMatrix:
             j //= 2
 
     def pack(self, rows: Sequence[int]) -> int:
-        """Raises OverflowError or TypeError unless every row is an int in
-        0..2^w-1."""
         a = array(self.code, rows)
         if sys.byteorder == "big":
             a.byteswap()
@@ -61,8 +57,8 @@ class _BitMatrix:
 
 _MATRICES = tuple(_BitMatrix(w) for w in (8, 16, 32, 64))
 
-# Up to this many vertices a loop over the rows is at least as fast as
-# packing them (Graph's check, symmetric_closure).
+# Up to this many vertices symmetric_closure's loop over the rows is at
+# least as fast as packing them.
 _LOOP_MAX = 7
 
 
@@ -131,22 +127,7 @@ class Graph:
             object.__setattr__(self, "rows", rows)
         if len(rows) != n:
             raise ValueError("row count does not match vertex count")
-        if n <= _LOOP_MAX:
-            self._check_rows()
-            return
-        # Packed: no bit at or past column n, none on the diagonal, and
-        # the matrix equals its transpose.  Rows that fail it, or do not
-        # pack, go to the per-row loop, which names the first bad row or
-        # edge.
-        mat = _bit_matrix(n)
-        try:
-            m = mat.pack(rows)
-        except (OverflowError, TypeError):
-            self._check_rows()
-            return
-        if m & (mat.diagonal | mat.row_starts * ((1 << mat.w) - (1 << n))) \
-                or m != mat.transpose(m):
-            self._check_rows()
+        self._check_rows()
 
     def _check_rows(self) -> None:
         full = (1 << self.n) - 1
@@ -189,8 +170,9 @@ def _derived_graph(n: int, rows: Tuple[int, ...]) -> Graph:
     """Graph(n, rows) without __post_init__'s check, for rows that follow
     from a checked graph (its complement, rows masked from its own) or
     are symmetric and in range by construction (a closed triangle, an
-    edge list make_graph checked edge by edge); n is in 0..MAX_VERTICES
-    and rows is a tuple of n ints."""
+    edge list make_graph checked edge by edge, checked graphs shifted
+    into disjoint ranges); n is in 0..MAX_VERTICES and rows is a tuple of
+    n ints."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", rows)
@@ -236,7 +218,7 @@ def disjoint_union(gs: Sequence[Graph]) -> Graph:
     for g in gs:
         rows.extend(r << shift for r in g.rows)
         shift += g.n
-    return Graph(total, tuple(rows))
+    return _derived_graph(total, tuple(rows))
 
 
 @lru_cache(maxsize=4096)

@@ -84,9 +84,9 @@ class FSpec:
 
     Forms: identity, plus (x + c), pow (x ** a), const (k), table (explicit
     values for x = 1..len).  All forms must be non-decreasing and, except
-    for const, must majorize the identity; const is flagged non-majorizing
-    and needs k >= 2, below which no graph with an edge is a member.  f is
-    evaluated only when called, so a huge constant costs nothing to parse.
+    for const, must majorize the identity; const needs k >= 2, below which
+    no graph with an edge is a member.  f is evaluated only when called, so
+    a huge constant costs nothing to parse.
     """
 
     form: str
@@ -104,10 +104,6 @@ class FSpec:
             raise ValueError("table values must be non-decreasing")
         if any(v < x for x, v in enumerate(self.table, start=1)):
             raise ValueError("table must majorize the identity")
-
-    @property
-    def majorizes_identity(self) -> bool:
-        return self.form != "const"
 
     def __call__(self, x: int) -> int:
         top = len(self.table) or MAX_VERTICES

@@ -10,6 +10,7 @@ JSON-ready dicts: parameters in, failures out, no timestamps.
 
 from __future__ import annotations
 
+import inspect
 import os
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
@@ -161,14 +162,13 @@ def _far3_grid() -> List[tuple]:
     return grid
 
 
-def suite_far3(n_max: int = 0, samples: int = 0, seed: int = DEFAULT_SEED,
-               workers: int = 1) -> Dict:
-    """Co-unipolar cover numbers of k disjoint K_l.
+def suite_far3(seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
+    """Co-unipolar cover numbers of k disjoint K_l on a fixed grid, run
+    serially whatever `workers` says.
 
     The closed form min(k, log2 l) is asserted only when l is a power of
     two; other l are swept and recorded without assertion.
     """
-    del n_max, samples, workers  # grid is fixed, kept for a uniform signature
     failures = []
     records = []
     spec = ClassSpec("co-unipolar")
@@ -185,10 +185,9 @@ def suite_far3(n_max: int = 0, samples: int = 0, seed: int = DEFAULT_SEED,
     return _report("far3", params, len(records), failures, {"records": records})
 
 
-def suite_hypercube(n_max: int = 6, samples: int = 0, seed: int = DEFAULT_SEED,
-                    workers: int = 1) -> Dict:
-    """Direction covers of Q_d, plus the Q_3 max unipolar subgraph size."""
-    del samples, workers
+def suite_hypercube(n_max: int = 6, seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
+    """Direction covers of Q_d, plus the Q_3 max unipolar subgraph size;
+    serial whatever `workers` says."""
     d_max = min(n_max if n_max >= 1 else 6, 6)
     failures = []
     records = []
@@ -223,10 +222,9 @@ def suite_hypercube(n_max: int = 6, samples: int = 0, seed: int = DEFAULT_SEED,
     return _report("hypercube", params, len(records), failures, {"records": records})
 
 
-def suite_arithmetic(n_max: int = 62, samples: int = 0, seed: int = DEFAULT_SEED,
-                     workers: int = 1) -> Dict:
-    """Integer sweep of the Q_d cover lower bound: equals d iff d >= 8."""
-    del samples, workers
+def suite_arithmetic(n_max: int = 62, seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
+    """Integer sweep of the Q_d cover lower bound: equals d iff d >= 8;
+    serial whatever `workers` says."""
     d_max = max(8, min(n_max, 62))
     failures = []
     for d in range(3, d_max + 1):
@@ -282,14 +280,14 @@ SUITES: Dict[str, Callable[..., Dict]] = {
 
 def run_suite(name: str, n_max: Optional[int] = None, samples: Optional[int] = None,
               seed: Optional[int] = None, workers: int = 1) -> Dict:
+    """Run suite `name`; a parameter given (not None) that the suite does
+    not read raises ValueError.  Every suite takes `workers`."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, have {', '.join(sorted(SUITES))}")
     fn = SUITES[name]
-    kwargs = {"workers": workers}
-    if n_max is not None:
-        kwargs["n_max"] = n_max
-    if samples is not None:
-        kwargs["samples"] = samples
-    if seed is not None:
-        kwargs["seed"] = seed
-    return fn(**kwargs)
+    given = {"n_max": n_max, "samples": samples, "seed": seed}
+    kwargs = {k: v for k, v in given.items() if v is not None}
+    unread = [k for k in kwargs if k not in inspect.signature(fn).parameters]
+    if unread:
+        raise ValueError(f"suite {name} does not read {', '.join(unread)}")
+    return fn(**kwargs, workers=workers)

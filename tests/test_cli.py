@@ -1,6 +1,8 @@
 """End-to-end CLI tests running main() in-process."""
 
+import inspect
 import json
+import re
 
 import pytest
 
@@ -343,6 +345,18 @@ def test_verify_accepts_corpus_flags(capsys):
     assert data["params"]["seed"] == 5
 
 
+def test_verify_rejects_flags_the_suite_does_not_read(capsys):
+    for argv, unread in ((("far3", "--samples", "3"), "samples"),
+                         (("far3", "--n-max", "3", "--samples", "7"), "n_max, samples"),
+                         (("hypercube", "--samples", "3"), "samples"),
+                         (("arithmetic", "--samples", "3"), "samples")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: suite {argv[0]} does not read {unread}\n"
+    code, data, _ = run_json(capsys, "verify", "hypercube", "--n-max", "3")
+    assert (code, data["params"]["d_max"]) == (0, 3)
+
+
 def test_solve_rejects_a_negative_edge_budget(capsys, tmp_path):
     # K4 is co-unipolar, so it answers without the budget; C5 is not unipolar
     for text, cls in (("C~", "co-unipolar"), ("Dhc", "unipolar")):
@@ -385,6 +399,13 @@ def test_help_lists_every_class_and_suite(capsys, monkeypatch):
         assert (form in helps["cover"]) == (entry.f is not None), kind
     for suite in SUITES:
         assert f" {suite} " in helps["verify"] or f" {suite}\n" in helps["verify"], suite
+    # each corpus flag's help names exactly the suites that read it
+    lines = helps["verify"].splitlines()
+    for flag, param in (("--n-max", "n_max"), ("--samples", "samples")):
+        line = next(ln for ln in lines if ln.lstrip().startswith(flag))
+        named = {s for s in SUITES if re.search(rf"\b{s}\b", line)}
+        readers = {s for s, fn in SUITES.items() if param in inspect.signature(fn).parameters}
+        assert named == readers, flag
 
 
 def test_closed_pipe_exits_quietly():

@@ -57,6 +57,8 @@ def test_formula_chibound():
         formula_chibound(2, 3, ident)  # omega above chi
     with pytest.raises(ValueError):
         formula_chibound(3, 2, parse_f_spec("const:1"))
+    with pytest.raises(ValueError, match=r"^cover base f\(omega\)=1 is below 2, no cover exists$"):
+        formula_chibound(3, 2, lambda w: 1)
 
 
 def test_bipartite_cover_k4():
@@ -137,6 +139,8 @@ def test_part_counts_match_formula():
             cert = formula_cover(g, spec)
             assert len(cert.parts) == formula_chibound(chi, omega, class_f(spec)), str(spec)
             assert check_certificate(g, cert), str(spec)
+    with pytest.raises(ValueError, match=r"^class perfect is not of the form chi <= f\(omega\)$"):
+        formula_cover(complete(3), parse_class_spec("perfect"))
 
 
 def test_product_coloring_bipartite_parts():
@@ -156,15 +160,22 @@ def test_product_coloring_rejects_bad_parts():
     g = cycle(4)
     cert = bipartite_cover(g)
     part = cert.parts[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^part coloring is improper on edge \(0, 1\)$"):
         product_coloring(g, [(part, Coloring((0, 0, 0, 0), 1))])
     h = cycle(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^part edge set belongs to a different host graph$"):
         product_coloring(h, [(part, Coloring((0, 1, 0, 1, 0), 2))])
-    # proper part coloring but missing edges
-    if g.edge_count > len(part):
-        with pytest.raises(ValueError):
-            product_coloring(g, [(part, Coloring((0, 1, 0, 1), 2))])
+    with pytest.raises(ValueError, match="^part coloring has the wrong vertex count$"):
+        product_coloring(g, [(part, Coloring((0, 1, 0), 2))])
+    # proper part coloring but missing edges: one of K4's two bipartite parts
+    k4 = complete(4)
+    cert = bipartite_cover(k4)
+    part, w = cert.parts[0], cert.witnesses[0]
+    assert len(part) < k4.edge_count
+    side1 = set(w["sides"][1])
+    colors = tuple(1 if v in side1 else 0 for v in range(k4.n))
+    with pytest.raises(ValueError, match="^parts do not cover every edge of the host$"):
+        product_coloring(k4, [(part, Coloring(colors, 2))])
 
 
 def test_hypercube_direction_cover():
@@ -199,6 +210,8 @@ def test_hypercube_lower_bound_values():
         assert hypercube_lower_bound(d) == d
     for d in range(3, 8):
         assert hypercube_lower_bound(d) < d
+    with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        hypercube_lower_bound(0)
 
 
 def test_check_certificate_rejects_bad():
@@ -214,6 +227,10 @@ def test_check_certificate_rejects_bad():
         g, cert.spec, (full_edge_set(g),), (in_class(g, parse_class_spec("chi-le:4")),), 1
     )
     assert not check_certificate(g, fake)
+    # a part whose host is another graph
+    foreign = bipartite_cover(cycle(4)).parts[0]
+    mixed = CoverCertificate(g, cert.spec, (foreign,) + cert.parts[1:], cert.witnesses, 2)
+    assert not check_certificate(g, mixed)
     # valid parts, but one stored coloring puts both ends of an edge in one color
     cert = chi_le_k_cover(g, 2)
     assert check_certificate(g, cert)

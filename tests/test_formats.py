@@ -109,6 +109,8 @@ def test_graph6_rejects_trailing_and_truncated():
         parse_graph6("D")  # 5 vertices needs 2 data chars
     with pytest.raises(ParseError):
         parse_graph6("")
+    with pytest.raises(ParseError, match="^graph6 very long form exceeds the 64 vertex limit$"):
+        parse_graph6("~~????????")
 
 
 def test_graph6_rejects_nonzero_padding():
@@ -184,6 +186,7 @@ def test_detect_format():
     assert detect_format("p edge 3 1\ne 1 2\n") == "dimacs"
     assert detect_format("3 1\n0 1\n") == "edgelist"
     assert detect_format("C~") == "graph6"
+    assert detect_format("ab cd") == "graph6"  # two tokens, not two ints
 
 
 def test_parse_graph_forced_format():

@@ -92,6 +92,8 @@ def test_kkl():
     assert kKl(1, 1).n == 1
     with pytest.raises(CapacityError):
         kKl(5, 13)
+    with pytest.raises(ValueError, match="^kKl needs k >= 1 and l >= 1$"):
+        kKl(0, 3)
 
 
 def test_far_graph_structure():
@@ -100,6 +102,8 @@ def test_far_graph_structure():
     assert g.n == 11 + 4 + 2
     assert chromatic_number(g)[0] == 4
     assert clique_number(g)[0] == 4
+    with pytest.raises(ValueError, match="^far graph needs k >= 1$"):
+        far_graph(0, 1)
     with pytest.raises(ValueError):
         far_graph(2, 1)  # l below k
     with pytest.raises(ValueError):

@@ -77,6 +77,8 @@ def test_vertex_capacity():
     make_graph(64, [])
     with pytest.raises(CapacityError):
         make_graph(65, [])
+    with pytest.raises(CapacityError, match="^vertex count 65 outside 0..64$"):
+        Graph(65, (0,) * 65)
 
 
 def test_graph_is_hashable_and_frozen():
@@ -158,6 +160,7 @@ def test_edge_sets():
     g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
     a = edge_set_of(g, [(0, 1)])
     b = edge_set_of(g, [(1, 2)])
+    assert edge_set_of(g, [(2, 1)]) == b  # either orientation names the edge
     assert len(a) == 1
     assert (a | b).edges() == [(0, 1), (1, 2)]
     assert len(a & b) == 0
@@ -193,6 +196,9 @@ def test_spanning_subgraph_keeps_vertices():
     sub = spanning_subgraph(g, edge_set_of(g, [(1, 2)]))
     assert sub.n == 4
     assert sub.edges() == [(1, 2)]
+    h = make_graph(4, [(0, 1)])
+    with pytest.raises(ValueError, match="^edge set belongs to a different host graph$"):
+        spanning_subgraph(g, full_edge_set(h))
 
 
 def test_bits_of():

@@ -33,6 +33,7 @@ from covernum.graphs import complement_rows, full_edge_set
 from covernum.invariants import CliqueWitness, Coloring, check_clique, check_coloring
 from covernum.recognizers import (
     CLASS_KINDS,
+    ClassSpec,
     FSpec,
     _odd_hole_or_antihole,
     bipartition_rows,
@@ -75,7 +76,6 @@ def test_f_spec_parsing():
 def test_f_spec_table_form():
     f = FSpec("table", table=(1, 2, 4, 8))
     assert f(3) == 4
-    assert f.majorizes_identity
     with pytest.raises(ValueError):
         f(5)  # table too short
     with pytest.raises(ValueError):
@@ -91,8 +91,10 @@ def test_f_spec_domain():
         f(0)
     with pytest.raises(ValueError):
         f(65)
-    assert not FSpec("const", value=3).majorizes_identity
-    assert FSpec("plus", value=0).majorizes_identity
+    assert FSpec("const", value=3)(64) == 3  # const need not majorize the identity
+    assert FSpec("plus", value=0)(64) == 64
+    with pytest.raises(ValueError, match="^unknown f form 'bogus'$"):
+        FSpec("bogus")
 
 
 def test_class_spec_parsing():
@@ -110,6 +112,10 @@ def test_class_spec_parsing():
         parse_class_spec("chi-le-f")
     with pytest.raises(ValueError):
         parse_class_spec("chi-le-f:const:1")
+    with pytest.raises(ValueError, match="^unknown class kind 'nope'$"):
+        ClassSpec("nope")
+    with pytest.raises(ValueError, match="^chi-le-f requires an f spec$"):
+        ClassSpec("chi-le-f")
     for text in ("identity", "plus:1", "pow:2", "const:3", "table:1,3,3,5"):
         spec = parse_class_spec("chi-le-f:" + text)
         assert parse_class_spec(str(spec)) == spec
@@ -318,6 +324,7 @@ def test_check_witness_rejects_tampering():
     bad = dict(w)
     bad["sides"] = [w["sides"][1], w["sides"][0][:-1]]
     assert not check_witness(g, spec, bad)
+    assert not check_witness(g, spec, dict(w, sides=[w["sides"][0]]))  # one side only
     bad = dict(w)
     bad["class"] = "unipolar"
     assert not check_witness(g, spec, bad)

@@ -272,6 +272,17 @@ def test_branch_and_bound_answers_no_under_the_cap():
     assert check_certificate(g, decide_cover(g, spec, 3))
 
 
+def test_table_f_past_its_end_takes_the_clique():
+    # chi 4 is past the end of the table, so f is not known to be flat up
+    # to chi and the digit base is f(omega) = f(2) = 3
+    g = parse_family_spec("mycielski:4")
+    spec = parse_class_spec("chi-le-f:table:2,3")
+    res = exact_cover_number(g, spec)
+    assert (res.value, res.stats.method) == (2, "formula")
+    assert check_certificate(g, res.certificate)
+    assert decide_cover(g, spec, 1) is None
+
+
 def test_q3_unipolar_values():
     q3 = hypercube(3)
     spec = parse_class_spec("unipolar")

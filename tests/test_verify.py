@@ -56,6 +56,29 @@ def test_run_suite_passes_params():
     assert report["passed"] is True
 
 
+def test_far3_rejects_corpus_params():
+    # the grid is fixed: neither corpus parameter is read, workers is
+    for params in ({"n_max": 3}, {"samples": 7}, {"n_max": 3, "samples": 7}):
+        unread = ", ".join(params)
+        with pytest.raises(ValueError, match=f"^suite far3 does not read {unread}$"):
+            run_suite("far3", **params)
+    assert run_suite("far3", seed=DEFAULT_SEED, workers=2) == suite_far3()
+
+
+def test_hypercube_rejects_samples():
+    with pytest.raises(ValueError, match="^suite hypercube does not read samples$"):
+        run_suite("hypercube", n_max=3, samples=7)
+    report = run_suite("hypercube", n_max=3, workers=2)
+    assert report["params"] == {"d_max": 3, "seed": DEFAULT_SEED}
+
+
+def test_arithmetic_rejects_samples():
+    with pytest.raises(ValueError, match="^suite arithmetic does not read samples$"):
+        run_suite("arithmetic", samples=0)
+    report = run_suite("arithmetic", n_max=10, seed=4, workers=2)
+    assert report["params"] == {"d_min": 3, "d_max": 10, "seed": 4}
+
+
 def test_reports_are_deterministic():
     a = suite_hhm(n_max=4, samples=0)
     b = suite_hhm(n_max=4, samples=0)
