@@ -69,20 +69,12 @@ def witnessed_cover(g: Graph, spec: ClassSpec, masks: Sequence[int]) -> CoverCer
     return CoverCertificate(g, spec, parts, tuple(wits), len(parts))
 
 
-def no_member_covers(g: Graph, spec: ClassSpec, j: int) -> ValueError:
-    """The error for a host whose edge j lies in no member of spec."""
-    u, v = edge_index(g)[j]
-    return ValueError(f"class {spec} has no member covering edge ({u}, {v})")
-
-
 def digit_layout(g: Graph, spec: ClassSpec) -> Tuple[Coloring, int, Tuple[int, ...]]:
     """What the formula cover of g for spec's f is built from: an optimal
     colouring, the digit base f(omega), and the maximum clique whose
     colours get constant digit strings (empty where plain digits keep
-    every part a member).  For f = identity the base is omega itself.
-
-    A base below 2 on a host with an edge raises: f(omega) < 2 then holds
-    for every subgraph with an edge, so no member covers one."""
+    every part a member).  For f = identity the base is omega itself; on
+    a host with an edge it is at least f(2) >= 2 (recognizers.FSpec)."""
     f = class_f(spec)
     chi, coloring = chromatic_number(g)
     low = f(1)
@@ -92,8 +84,6 @@ def digit_layout(g: Graph, spec: ClassSpec) -> Tuple[Coloring, int, Tuple[int, .
         omega, witness = clique_number(g)
         base = f(omega)
         clique = tuple(sorted(witness.vertices)) if base > low else ()
-    if base < 2 and g.edge_count:
-        raise no_member_covers(g, spec, 0)
     return coloring, base, clique
 
 
@@ -223,12 +213,10 @@ def unipolar_subgraph_bound(d: int) -> int:
 
 
 def hypercube_lower_bound(d: int) -> int:
-    """ceil(d 2^(d-1) / (2^(d-1) + 2(d-1))), exact integer arithmetic."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    num = d * 2 ** (d - 1)
-    den = 2 ** (d - 1) + 2 * (d - 1)
-    return -(-num // den)
+    """ceil(d 2^(d-1) / unipolar_subgraph_bound(d)): Q_d's edges over the
+    most a unipolar part can hold, exact integer arithmetic."""
+    den = unipolar_subgraph_bound(d)
+    return -(-d * 2 ** (d - 1) // den)
 
 
 def check_certificate(g: Graph, cert: CoverCertificate) -> bool:

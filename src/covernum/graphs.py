@@ -324,9 +324,15 @@ def induced_rows(rows: Sequence[int], vertex_mask: int) -> Tuple[int, Sequence[i
     if vertex_mask == (1 << n) - 1:
         return n, rows
     verts = bits_of(vertex_mask)
-    pos = {v: i for i, v in enumerate(verts)}
+    return len(verts), relabel_rows(rows, verts, vertex_mask)
+
+
+def relabel_rows(rows: Sequence[int], order: Sequence[int], vertex_mask: int) -> List[int]:
+    """Rows of the subgraph induced on vertex_mask, vertex order[i]
+    relabelled i; order lists the vertices of vertex_mask."""
+    pos = {v: i for i, v in enumerate(order)}
     out = []
-    for v in verts:
+    for v in order:
         row = rows[v] & vertex_mask
         acc = 0
         while row:
@@ -334,7 +340,7 @@ def induced_rows(rows: Sequence[int], vertex_mask: int) -> Tuple[int, Sequence[i
             row &= row - 1
             acc |= 1 << pos[u]
         out.append(acc)
-    return len(verts), out
+    return out
 
 
 def proper(rows: Sequence[int], colors: Sequence[int]) -> bool:

@@ -74,7 +74,7 @@ _F_FORMS: Dict[str, Tuple[Callable[["FSpec", int], int], int]] = {
     "plus": (lambda f, x: x + f.value, 0),
     "pow": (lambda f, x: x ** f.value, 1),
     "const": (lambda f, x: f.value, 2),
-    "table": (lambda f, x: f.table[x - 1], 1),
+    "table": (lambda f, x: f.table[x - 1], 2),
 }
 
 
@@ -84,9 +84,10 @@ class FSpec:
 
     Forms: identity, plus (x + c), pow (x ** a), const (k), table (explicit
     values for x = 1..len).  All forms must be non-decreasing and, except
-    for const, must majorize the identity; const needs k >= 2, below which
-    no graph with an edge is a member.  f is evaluated only when called, so
-    a huge constant costs nothing to parse.
+    for const, must majorize the identity.  const needs k >= 2 and a table
+    two values or more, so that f(2) >= 2 and the class holds the
+    single-edge graph.  f is evaluated only when called, so a huge
+    constant costs nothing to parse.
     """
 
     form: str
@@ -153,8 +154,9 @@ class ClassSpec:
         entry = CLASSES.get(self.kind)
         if entry is None:
             raise ValueError(f"unknown class kind {self.kind!r}")
-        if entry.param == "k" and self.k < 1:
-            raise ValueError(f"{self.kind} requires k >= 1")
+        # chi <= 1 holds no graph with an edge
+        if entry.param == "k" and self.k < 2:
+            raise ValueError(f"{self.kind} requires k >= 2")
         if entry.param == "f" and self.f is None:
             raise ValueError(f"{self.kind} requires an f spec")
 

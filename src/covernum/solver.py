@@ -2,9 +2,11 @@
 
 A host that is a member covers itself with one part: the class's own
 witness search (recognizers.in_class) decides membership, and its witness
-is the part's, so a perfect host keeps is_perfect's vertex cap.  For any
-other host with an edge the bounds step tries the paper's results before
-any enumeration.  A colouring class {chi <= f(omega)} has the exact cover
+is the part's, so a perfect host keeps is_perfect's vertex cap.  Any
+other host with an edge needs two parts or more, and every accepted class
+holds the single-edge graph (recognizers.ClassSpec), so each edge lies in
+a member.  The bounds step then tries the paper's results before any
+enumeration.  A colouring class {chi <= f(omega)} has the exact cover
 number ceil_log(f(omega), chi), certified by the formula cover (method
 "formula").  Every other class lies inside {chi = omega}, so its cover
 number is at least max(2, ceil_log(omega, chi)); a class whose registry
@@ -71,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .covers import CoverCertificate, digit_cover, digit_layout, no_member_covers, witnessed_cover
+from .covers import CoverCertificate, digit_cover, digit_layout, witnessed_cover
 from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows
 from .invariants import ceil_log, chromatic_number, first_fit_colors, omega_of_rows
 from .recognizers import CLASSES, ClassSpec, class_f, color_bound, in_class, membership_fn
@@ -352,18 +354,12 @@ def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int],
         coloring, base, clique = digit_layout(g, spec)
         value = ceil_log(base, coloring.count)
         return value, ("formula", lambda: digit_cover(g, spec, coloring, base, clique))
-    # the floor of 2 answers k < 2
-    if cap is not None and cap < 2:
-        return 2, None
     entry = CLASSES[spec.kind]
     best = entry.family and entry.family.best
     if best is not None and g.edge_count <= budget.max_edges:
         return _greedy_bounds(g, spec, best)
     # a class that witnesses base-2 digit parts holds every bipartite graph
     holds_bipartite = entry.digit_witness is not None
-    # without an upper bound, the lower one only answers a capped question
-    if cap is None and not holds_bipartite:
-        return 2, None
     omega = omega_of_rows(g.n, g.rows)
     if g.edge_count > budget.max_edges:
         # First fit bounds chi, and so the lower bound, from above; the upper
@@ -401,6 +397,8 @@ def _solve(
         stats.family_size = 1
         stats.method = "host-member"
         return CoverCertificate(g, spec, (EdgeSet(g, universe),), (witness,), 1)
+    if cap is not None and cap < 2:  # the floor of two
+        return None
     if bounded:
         lower, settled = _bounds(g, spec, cap, budget)
         if cap is not None and cap < lower:
@@ -410,12 +408,6 @@ def _solve(
             return cover()
     family, stats.method = family_maximal_masks(g, spec, budget)
     stats.family_size = len(family)
-    covered = 0
-    for mask in family:
-        covered |= mask
-    if covered != universe:
-        missing = universe & ~covered
-        raise no_member_covers(g, spec, (missing & -missing).bit_length() - 1)
     picked = _min_set_cover(universe, family, cap, stats)
     if picked is None:
         return None

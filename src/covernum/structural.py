@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .graphs import Graph, components, edge_index, neighbourhood
+from .graphs import Graph, components, edge_index, neighbourhood, relabel_rows
 
 
 def maximal_masks(masks: Iterable[int]) -> List[int]:
@@ -116,18 +116,8 @@ def _bfs_rows(g: Graph) -> Tuple[List[int], List[int]]:
                 fresh ^= b
                 order.append(b.bit_length() - 1)
             i += 1
-    pos = {v: i for i, v in enumerate(order)}
-    rows = []
-    for v in order:
-        row = 0
-        m = g.rows[v]
-        while m:
-            b = m & -m
-            m ^= b
-            row |= 1 << pos[b.bit_length() - 1]
-        rows.append(row)
     inc = incident_edges(g)
-    return rows, [inc[v] for v in order]
+    return relabel_rows(g.rows, order, seen), [inc[v] for v in order]
 
 
 def _clique_sides(rows: Sequence[int], inc: Sequence[int]) -> Iterator[Tuple[int, int]]:

@@ -367,13 +367,16 @@ def test_solve_rejects_a_negative_edge_budget(capsys, tmp_path):
 
 
 def test_cover_and_solve_agree_where_no_member_covers_an_edge(capsys, tmp_path):
-    path = write_graph(tmp_path, "A_")  # K2
-    for command in ("cover", "solve"):
-        code, out, err = run(capsys, command, "--class", "chi-le:1", path)
-        assert (code, out) == (2, "")
-        assert err == "error: class chi-le:1 has no member covering edge (0, 1)\n"
-    code, data, _ = run_json(capsys, "cover", "--class", "chi-le:1", write_graph(tmp_path, "A?"))
-    assert (code, data["parts"]) == (0, [])
+    # no member of these classes has an edge, so every command rejects
+    # them at parse time, on K2 and on an edgeless host alike
+    table = ("error: bad class spec 'chi-le-f:table:1': bad f spec 'table:1': "
+             "table form needs at least 2, got 1\n")
+    for text in ("A_", "A?"):
+        path = write_graph(tmp_path, text)
+        for command in ("cover", "solve", "recognize"):
+            for cls, msg in (("chi-le:1", "error: chi-le requires k >= 2\n"),
+                             ("chi-le-f:table:1", table)):
+                assert run(capsys, command, "--class", cls, path) == (2, "", msg)
 
 
 def test_verify_rejects_a_non_integer_thread_count(capsys, monkeypatch):

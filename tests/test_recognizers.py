@@ -105,13 +105,21 @@ def test_class_spec_parsing():
         if kind not in ("chi-le", "chi-le-f"):
             assert parse_class_spec(kind).kind == kind
     with pytest.raises(ValueError):
-        parse_class_spec("chi-le:0")
-    with pytest.raises(ValueError):
         parse_class_spec("split")
     with pytest.raises(ValueError):
         parse_class_spec("chi-le-f")
-    with pytest.raises(ValueError):
-        parse_class_spec("chi-le-f:const:1")
+    # classes without the single-edge graph
+    for text, msg in (
+        ("chi-le:0", "chi-le requires k >= 2"),
+        ("chi-le:1", "chi-le requires k >= 2"),
+        ("chi-le-f:table:1", "bad class spec 'chi-le-f:table:1': bad f spec 'table:1': "
+                             "table form needs at least 2, got 1"),
+        ("chi-le-f:const:1", "bad class spec 'chi-le-f:const:1': bad f spec 'const:1': "
+                             "const form needs at least 2, got 1"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            parse_class_spec(text)
+        assert str(exc.value) == msg
     with pytest.raises(ValueError, match="^unknown class kind 'nope'$"):
         ClassSpec("nope")
     with pytest.raises(ValueError, match="^chi-le-f requires an f spec$"):
@@ -119,6 +127,20 @@ def test_class_spec_parsing():
     for text in ("identity", "plus:1", "pow:2", "const:3", "table:1,3,3,5"):
         spec = parse_class_spec("chi-le-f:" + text)
         assert parse_class_spec(str(spec)) == spec
+
+
+def test_every_class_holds_the_single_edge_graph():
+    # so every edge of a host lies in a member, which the solver relies on
+    specs = [parse_class_spec(t) for t in (
+        *(k for k in CLASS_KINDS if k not in ("chi-le", "chi-le-f")), "chi-le:2",
+        *("chi-le-f:" + f for f in ("identity", "plus:0", "pow:1", "const:2", "table:1,2")),
+    )]
+    for n in (2, 3, 5):
+        g = make_graph(n, [(0, n - 1)])
+        for spec in specs:
+            witness = in_class(g, spec)
+            assert witness is not None and check_witness(g, spec, witness), (n, spec)
+            assert membership_fn(spec)(n, g.rows), (n, spec)
 
 
 def test_bipartite_cycles():

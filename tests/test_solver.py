@@ -6,6 +6,7 @@ from oracles import naive_partition_family, naive_subset_family, witnessed_host_
 from covernum import (
     BudgetError,
     CapacityError,
+    ClassSpec,
     SolveBudget,
     certificate_to_json,
     check_certificate,
@@ -251,12 +252,32 @@ def test_max_k_cap():
     assert cert is not None and len(cert.parts) == 3
 
 
+def test_one_part_answers_no_on_every_non_member_before_any_bounds(monkeypatch):
+    # every class holds the single-edge graph, so a host outside the class
+    # needs two parts: saying so takes neither the exact chromatic number
+    # of a digit layout nor the family sweep
+    import covernum.solver
+
+    def unused(*args):
+        raise AssertionError("a one-part question reached the bounds or the sweep")
+
+    for name in ("digit_layout", "family_maximal_masks"):
+        monkeypatch.setattr(covernum.solver, name, unused)
+    hosts = [g for n in range(6) for g in all_graphs(n)]
+    hosts += [parse_graph6(text) for text in LADDER_HOSTS]
+    for spec in SPECS:
+        outside = [g for g in hosts if in_class(g, spec) is None]
+        assert outside, spec
+        for g in outside:
+            assert decide_cover(g, spec, 1) is None, (spec, g)
+
+
 def test_chi_le_1_has_no_usable_parts():
-    # chi <= 1 admits only edgeless members, so nothing covers any edge
-    spec = parse_class_spec("chi-le:1")
-    for solve in (exact_cover_number, sweep_cover_number):
-        with pytest.raises(ValueError, match=r"no member covering edge \(0, 1\)"):
-            solve(complete(2), spec)
+    # chi <= 1 admits only edgeless members, so no spec of it reaches a
+    # solve: the constructor refuses it as the parser does
+    for k in (0, 1):
+        with pytest.raises(ValueError, match=r"^chi-le requires k >= 2$"):
+            ClassSpec("chi-le", k=k)
 
 
 def test_branch_and_bound_answers_no_under_the_cap():

@@ -1,13 +1,16 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from covernum import verify
+from covernum.covers import hypercube_direction_cover
 from covernum.verify import (
     DEFAULT_SEED,
     SUITES,
@@ -183,14 +186,64 @@ def test_chain_suite_small():
 
 
 def test_failure_reports_carry_instances():
-    # force a failure by lying about the formula: not possible through the
-    # public api, so instead check the shape on a passing run
+    # a passing run: no failures, and the report's keys
     report = suite_hhm(n_max=3, samples=0)
     assert report["failures"] == []
     assert report["failures_total"] == 0
     assert set(report) == {
         "suite", "params", "instances", "failures", "failures_total", "passed",
     }
+
+
+def _answering(value_of):
+    """A sweep_cover_number that answers value_of(class text) on any host."""
+    return lambda g, spec: SimpleNamespace(value=value_of(str(spec)))
+
+
+def _doubled_direction_cover(d):
+    """Q_d's direction cover with every part twice: overlapping, 2d parts."""
+    cert = hypercube_direction_cover(d)
+    return dataclasses.replace(cert, parts=cert.parts * 2)
+
+
+CORPUS_RECORD = ("graph", "class", "chi", "omega", "expected", "computed")
+
+# suite, its parameters, the verify names patched to answer wrongly, then
+# failures_total and the keys of every failure record
+WRONG_ANSWERS = [
+    ("hhm", {"n_max": 3, "samples": 0}, {"sweep_cover_number": _answering(lambda t: 7)},
+     12, [CORPUS_RECORD]),
+    ("chibound", {"n_max": 3, "samples": 0}, {"sweep_cover_number": _answering(lambda t: 7)},
+     48, [CORPUS_RECORD]),
+    # chi-eq-omega above perfect breaks the order, and both ends miss
+    ("chain", {"n_max": 3, "samples": 0},
+     {"sweep_cover_number": _answering(lambda t: {"chi-eq-omega": 3, "bipartite": 5}.get(t, 2))},
+     36, [("graph", "kind", "values"), ("graph", "kind", "expected", "computed")]),
+    ("far3", {}, {"sweep_cover_number": _answering(lambda t: 0)},
+     10, [("k", "l", "expected", "computed")]),
+    ("hypercube", {"n_max": 3},
+     {"hypercube_direction_cover": _doubled_direction_cover,
+      "max_class_subgraph_size": lambda g, spec: 0},
+     4, [("d", "parts", "part_sizes"), ("d", "max_unipolar_edges", "bound")]),
+    ("arithmetic", {"n_max": 8}, {"hypercube_lower_bound": lambda d: d + 1},
+     6, [("d", "lower_bound")]),
+    # perfect needs more parts than gsp, its subclass
+    ("inclusion", {"n_max": 3, "samples": 0},
+     {"sweep_cover_number": _answering(lambda t: int(t == "perfect"))},
+     12, [("graph", "subclass", "superclass", "subclass_value", "superclass_value")]),
+]
+
+
+@pytest.mark.parametrize("name, params, patches, total, keys", WRONG_ANSWERS,
+                         ids=[case[0] for case in WRONG_ANSWERS])
+def test_suites_report_wrong_answers(monkeypatch, name, params, patches, total, keys):
+    for attr, fake in patches.items():
+        monkeypatch.setattr(verify, attr, fake)
+    report = run_suite(name, **params)
+    assert report["passed"] is False
+    assert report["failures_total"] == total
+    assert len(report["failures"]) == min(total, verify.MAX_FAILURES_KEPT)
+    assert {tuple(f) for f in report["failures"]} == set(keys)
 
 
 def test_cross_checks_sweep_instead_of_reading_the_formulas(monkeypatch):
