@@ -3,9 +3,11 @@
 A cover of G is a list of spanning subgraphs (as edge sets) whose union
 is E(G) and each of which lies in a fixed class.  For every class
 {chi <= f(omega)} the cover is an exact realization of the ceil-log
-formula: write each color of an optimal coloring as a base-f(omega)
-digit string and split edges by the digits where their endpoint strings
-differ.
+formula: write each color of a proper coloring as a base-f(omega) digit
+string and split edges by the digits where their endpoint strings
+differ.  The coloring need not be optimal: any one whose color count
+needs as many digits as chi does gives the same number of parts, so the
+layout only settles which power-of-base range chi lies in.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from typing import Callable, Dict, Sequence, Tuple
 
 from .generators import hypercube
 from .graphs import EdgeSet, Graph, edge_index, full_edge_set, spanning_subgraph
-from .invariants import Coloring, ceil_log, chromatic_number, clique_number
+from .invariants import Coloring, bracket_coloring, ceil_log, clique_number, first_fit_coloring
 from .recognizers import CLASSES, ClassSpec, FSpec, check_witness, class_f, flat_upto, in_class
+
+# Unused here: bench/tracing.py hooks this name on this module.
+from .invariants import chromatic_number  # noqa: F401
 
 
 def formula_biparticity(chi: int) -> int:
@@ -69,28 +74,34 @@ def witnessed_cover(g: Graph, spec: ClassSpec, masks: Sequence[int]) -> CoverCer
     return CoverCertificate(g, spec, parts, tuple(wits), len(parts))
 
 
-def digit_layout(g: Graph, spec: ClassSpec) -> Tuple[Coloring, int, Tuple[int, ...]]:
-    """What the formula cover of g for spec's f is built from: an optimal
-    colouring, the digit base f(omega), and the maximum clique whose
-    colours get constant digit strings (empty where plain digits keep
-    every part a member).  For f = identity the base is omega itself; on
-    a host with an edge it is at least f(2) >= 2 (recognizers.FSpec)."""
+def digit_layout(g: Graph, spec: ClassSpec,
+                 floor: int = 1) -> Tuple[Coloring, int, Tuple[int, ...]]:
+    """What the formula cover of g for spec's f is built from: a colouring
+    with ceil_log(base, chi) digits (invariants.bracket_coloring), the
+    digit base f(omega), and the maximum clique whose colours get constant
+    digit strings (empty where plain digits keep every part a member).
+    For f = identity the base is omega itself; on a host with an edge it
+    is at least f(2) >= 2 (recognizers.FSpec).
+
+    floor is a digit count the caller knows chi needs (2 on a host outside
+    the class, chi > f(omega)), so no search is spent proving it."""
     f = class_f(spec)
-    chi, coloring = chromatic_number(g)
+    first_fit = first_fit_coloring(g.n, g.rows)
     low = f(1)
-    if chi <= 1 or flat_upto(f, chi):  # f is flat up to omega <= chi
+    # f flat up to first fit's count is flat up to omega <= chi <= count
+    if first_fit.count <= 1 or flat_upto(f, first_fit.count):
         base, clique = low, ()
     else:
         omega, witness = clique_number(g)
         base = f(omega)
         clique = tuple(sorted(witness.vertices)) if base > low else ()
-    return coloring, base, clique
+    return bracket_coloring(g.n, g.rows, base, floor, first_fit), base, clique
 
 
 def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
                 clique: Tuple[int, ...]) -> CoverCertificate:
-    """Cover of g by ceil_log(base, chi) parts, each witnessed for spec
-    from its digits.
+    """Cover of g by ceil_log(base, c) parts, c the colouring's count,
+    each witnessed for spec from its digits.
 
     Each colour becomes a string of t base-`base` digits, and part d keeps
     the edges whose endpoint strings differ in digit d, so digit d colours
@@ -102,14 +113,15 @@ def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
     (recognizers.ClassEntry.digit_witness): base is the layout's f(omega)
     for a colouring class and 2 for any other.
 
-    Every part has an edge: the clique's strings differ in every digit,
-    and were no edge to join two values of plain digit d, each value's
-    colours, fewer than chi, would colour its own vertices, and so g.
+    Every part has an edge where t is minimal, ceil_log(base, chi), as in
+    digit_layout's colouring: were part d edgeless, the endpoint strings
+    of every edge would differ in another digit, and the other t - 1
+    digits would colour g with base**(t-1) < chi colours.
     """
-    chi = coloring.count
-    if chi <= 1:
+    count = coloring.count
+    if count <= 1:
         return CoverCertificate(g, spec, (), (), 0)
-    t = ceil_log(base, chi)
+    t = ceil_log(base, count)
     if clique:
         const = {coloring.colors[v]: (i,) * t for i, v in enumerate(clique)}
         taken = set(const.values())
@@ -117,9 +129,9 @@ def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
         counted = (tuple(c // base ** (t - 1 - d) % base for d in range(t))
                    for c in range(base ** t))
         fresh = (s for s in counted if s not in taken)
-        strings = [const[c] if c in const else next(fresh) for c in range(chi)]
+        strings = [const[c] if c in const else next(fresh) for c in range(count)]
     else:
-        strings = [tuple(c // base ** d % base for d in range(t)) for c in range(chi)]
+        strings = [tuple(c // base ** d % base for d in range(t)) for c in range(count)]
     of = [strings[c] for c in coloring.colors]  # each vertex's string
     idx = edge_index(g)
     masks = [0] * t

@@ -1,4 +1,5 @@
-"""Exact chromatic number, clique number and integer ceiling logs.
+"""Exact chromatic number, clique number, colourings bracketed by a base's
+powers, and integer ceiling logs.
 
 Everything here is exact and deterministic: searches iterate vertices in
 increasing id, so repeated calls return identical witnesses.  Sizes are
@@ -187,18 +188,46 @@ def _color_components(n: int, rows: Sequence[int], k: Optional[int] = None) -> O
     return Coloring(tuple(colors), max(colors, default=-1) + 1)
 
 
-def first_fit_colors(n: int, rows: Sequence[int]) -> int:
-    """Colours a first-fit colouring in increasing vertex id uses: a cheap
-    upper bound on chi."""
+def first_fit_coloring(n: int, rows: Sequence[int]) -> Coloring:
+    """First-fit colouring in increasing vertex id: each vertex takes the
+    lowest colour none of its earlier neighbours has.  A cheap upper bound
+    on chi."""
     classes: List[int] = []  # vertex mask of each colour
+    colors = []
     for v in range(n):
         for i, cls in enumerate(classes):
             if not rows[v] & cls:
                 classes[i] = cls | 1 << v
+                colors.append(i)
                 break
         else:
+            colors.append(len(classes))
             classes.append(1 << v)
-    return len(classes)
+    return Coloring(tuple(colors), len(classes))
+
+
+def bracket_coloring(n: int, rows: Sequence[int], base: int, floor: int,
+                     coloring: Coloring) -> Coloring:
+    """A proper colouring whose count c has ceil_log(base, c) equal to
+    ceil_log(base, chi), or at most floor where that is.
+
+    From the given proper colouring (first fit, say) with t =
+    ceil_log(base, c), each round asks for base**(t-1) colours: a
+    colouring found replaces the current one and t drops to its own
+    ceil_log, and a failed search proves chi > base**(t-1), so t is
+    minimal.  Only the range (base**(t-1), base**t] of chi is settled,
+    never chi itself.
+    """
+    if coloring.count <= 1:  # no edge: no digit to spend
+        return coloring
+    t = ceil_log(base, coloring.count)
+    while t > floor:
+        better = _color_components(n, rows, base ** (t - 1))
+        if better is None:
+            break
+        coloring = better
+        t = ceil_log(base, coloring.count)
+    return coloring
 
 
 def chromatic_number(g: Graph) -> Tuple[int, Coloring]:

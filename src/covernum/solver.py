@@ -13,9 +13,18 @@ number is at least max(2, ceil_log(omega, chi)); a class whose registry
 entry witnesses the parts of a base-2 digit cover holds every bipartite
 graph, so it is also covered by ceil_log(2, chi) parts, and where the two
 bounds meet the bipartite formula cover's parts, witnessed for the class
-from their bipartitions, settle it (method "bounds").  A host whose
-bounds cannot meet and whose sweep is over the edge budget fails before
-the exact chromatic number is computed.
+from their bipartitions, settle it (method "bounds").
+
+The formula needs only which range (b^(t-1), b^t] chi lies in, b the
+base f(omega), not chi itself.  The formula cover's colouring starts
+from first fit and asks for b^(t-1) colours until a search fails
+(invariants.bracket_coloring); the failed host test has already shown
+chi > b, so two digits need no search.  A class that holds every
+bipartite graph is settled at 2 from a first-fit colouring with at most
+4 colours (the host is not bipartite, so chi is 3 or 4), with no clique
+search; on other hosts the bounds take omega and the exact chi.  A host
+whose bounds cannot meet and whose sweep is over the edge budget fails
+before the exact chromatic number is computed.
 
 A class whose registry family declares best (unipolar, which no formula
 bounds from above) is bounded by counting instead, on hosts within the
@@ -75,7 +84,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .covers import CoverCertificate, digit_cover, digit_layout, witnessed_cover
 from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows
-from .invariants import ceil_log, chromatic_number, first_fit_colors, omega_of_rows
+from .invariants import ceil_log, chromatic_number, first_fit_coloring, omega_of_rows
 from .recognizers import CLASSES, ClassSpec, class_f, color_bound, in_class, membership_fn
 from .structural import maximal_masks
 
@@ -351,7 +360,8 @@ def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int],
     bounds the cover number, and where an upper bound meets it, settled is
     (method, maker of a cover by lower parts); otherwise None."""
     if class_f(spec) is not None:
-        coloring, base, clique = digit_layout(g, spec)
+        # outside the class chi > f(omega), the base: two digits at least
+        coloring, base, clique = digit_layout(g, spec, floor=2)
         value = ceil_log(base, coloring.count)
         return value, ("formula", lambda: digit_cover(g, spec, coloring, base, clique))
     entry = CLASSES[spec.kind]
@@ -360,13 +370,17 @@ def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int],
         return _greedy_bounds(g, spec, best)
     # a class that witnesses base-2 digit parts holds every bipartite graph
     holds_bipartite = entry.digit_witness is not None
+    first_fit = first_fit_coloring(g.n, g.rows)
+    if holds_bipartite and first_fit.count <= 4:
+        # g is not bipartite, so 3 <= chi <= 4: both bounds are 2
+        return 2, ("bounds", lambda: digit_cover(g, spec, first_fit, 2, ()))
     omega = omega_of_rows(g.n, g.rows)
     if g.edge_count > budget.max_edges:
         # First fit bounds chi, and so the lower bound, from above; the upper
         # bound is at least ceil_log(2, omega).  Where they cannot meet and
         # the lower one cannot answer cap, only the sweep could: fail before
         # the exponential chromatic number.
-        most = max(2, ceil_log(omega, first_fit_colors(g.n, g.rows)))
+        most = max(2, ceil_log(omega, first_fit.count))
         may_meet = holds_bipartite and ceil_log(2, omega) <= most
         if not may_meet and (cap is None or cap >= most):
             raise _over_budget(g, budget)

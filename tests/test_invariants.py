@@ -22,7 +22,14 @@ from covernum.generators import (
     random_graphs,
     triangle_free_chromatic,
 )
-from covernum.invariants import Coloring, k_colorable_rows, omega_of_rows
+from covernum.graphs import disjoint_union
+from covernum.invariants import (
+    Coloring,
+    bracket_coloring,
+    first_fit_coloring,
+    k_colorable_rows,
+    omega_of_rows,
+)
 from oracles import (
     brute_chromatic,
     brute_clique,
@@ -225,3 +232,58 @@ def test_coloring_color_count_is_exact():
         chi, coloring = chromatic_number(g)
         assert coloring.count == chi
         assert len(set(coloring.colors)) == chi
+
+
+def test_bracket_coloring_keeps_chis_digit_count():
+    """Proper, and within base**t colours for t = ceil_log(base, chi): every
+    labelled graph up to 6 vertices and seeded 7-12 vertex hosts, floor 1,
+    and floor 2 wherever chi > base promises two digits."""
+    hosts = [g for n in range(7) for g in all_graphs(n)]
+    hosts += [g for n in range(7, 13) for g in random_graphs(n, 12, 700 + n)]
+    for g in hosts:
+        chi, _ = chromatic_number(g)
+        first_fit = first_fit_coloring(g.n, g.rows)
+        assert check_coloring(g, first_fit) and first_fit.count >= chi
+        for v, c in enumerate(first_fit.colors):  # lowest colour its earlier neighbours lack
+            taken = {first_fit.colors[u] for u in range(v) if g.has_edge(u, v)}
+            assert c == min(set(range(v + 1)) - taken)
+        for base in (2, 3, 4):
+            t = ceil_log(base, max(chi, 1))
+            for floor in (1, 2) if chi > base else (1,):
+                got = bracket_coloring(g.n, g.rows, base, floor, first_fit)
+                assert check_coloring(g, got), (g, base, floor)
+                assert got.count <= base**t, (g, base, floor)
+
+
+def _crown(k):
+    """K_{k,k} less a perfect matching, sides interleaved: a_i = 2i and
+    b_i = 2i + 1, a_i ~ b_j for i != j.  First fit in id order gives a_i and
+    b_i colour i, so k colours on a bipartite graph."""
+    return make_graph(2 * k, [(2 * i, 2 * j + 1) for i in range(k) for j in range(k) if i != j])
+
+
+def test_bracket_coloring_searches_below_first_fit(monkeypatch):
+    import covernum.invariants
+
+    crown = _crown(6)
+    first_fit = first_fit_coloring(crown.n, crown.rows)
+    assert first_fit.count == 6
+    for base in (2, 3, 4):
+        got = bracket_coloring(crown.n, crown.rows, base, 1, first_fit)
+        assert check_coloring(crown, got) and got.count == 2
+    # with a triangle beside it, chi = 3: base 2 asks for 4 colours (found,
+    # 3 used), then 2 (fails, so chi > 2); a floor of 2 skips that search
+    asked = []
+    search = covernum.invariants._color_components
+
+    def record(n, rows, k=None):
+        asked.append(k)
+        return search(n, rows, k)
+
+    monkeypatch.setattr(covernum.invariants, "_color_components", record)
+    g = disjoint_union([crown, complete(3)])
+    for floor, ks in ((1, [4, 2]), (2, [4])):
+        asked.clear()
+        got = bracket_coloring(g.n, g.rows, 2, floor, first_fit_coloring(g.n, g.rows))
+        assert check_coloring(g, got) and got.count == 3
+        assert asked == ks

@@ -1,19 +1,27 @@
 from itertools import combinations
 
 import pytest
-from oracles import naive_partition_family, naive_subset_family, witnessed_host_member
+from oracles import (
+    brute_chromatic,
+    brute_clique,
+    naive_partition_family,
+    naive_subset_family,
+    witnessed_host_member,
+)
 
 from covernum import (
     BudgetError,
     CapacityError,
     ClassSpec,
     SolveBudget,
+    ceil_log,
     certificate_to_json,
     check_certificate,
     complete,
     cycle,
     decide_cover,
     exact_cover_number,
+    formula_chibound,
     hypercube,
     in_class,
     kKl,
@@ -29,7 +37,7 @@ from covernum import (
 )
 from covernum.generators import all_graphs, random_graphs
 from covernum.graphs import edge_index, mask_rows
-from covernum.recognizers import membership_fn
+from covernum.recognizers import class_f, membership_fn
 from covernum.structural import unipolar_best, unipolar_family, unipolar_work
 from covernum.verify import INCLUSION_PAIRS
 
@@ -243,6 +251,23 @@ def test_bounds_settle_hosts_past_the_edge_budget():
         assert (res.stats.family_size, res.stats.nodes) == (0, 0)
         assert check_certificate(g, res.certificate)
         assert len(res.certificate.parts) == 2
+
+
+def test_bounds_settle_from_first_fit_without_omega_or_chi(monkeypatch):
+    # far:1,2 is not bipartite and first fit colours it with 4 colours, so
+    # 3 <= chi <= 4 and both bounds are 2: no clique search, no exact chi
+    import covernum.solver
+
+    def unused(*args):
+        raise AssertionError("clique or chromatic number where first fit settles the bounds")
+
+    for name in ("omega_of_rows", "chromatic_number"):
+        monkeypatch.setattr(covernum.solver, name, unused)
+    g = parse_family_spec("far:1,2")
+    for text in ("perfect", "gsp", "co-unipolar"):
+        res = exact_cover_number(g, parse_class_spec(text))
+        assert (res.value, res.stats.method) == (2, "bounds"), text
+        assert check_certificate(g, res.certificate)
 
 
 def test_max_k_cap():
@@ -633,6 +658,48 @@ def test_bounds_route_matches_sweep():
             assert decide_cover(g, spec, res.value - 1) is None
 
 
+def test_solve_meets_the_closed_forms_on_every_small_graph():
+    # The formula and bounds covers read only which power-of-base range chi
+    # lies in; values and methods must still be the closed forms of the
+    # exact chi and omega (brute force).  Every labelled graph up to 5
+    # vertices, and every 6-vertex graph up to isomorphism under the atlas
+    # labelling and a seeded shuffle of it.
+    import random
+
+    import networkx as nx
+
+    rng = random.Random(22)
+    hosts = [g for n in range(6) for g in all_graphs(n)]
+    for a in nx.graph_atlas_g():
+        if a.number_of_nodes() == 6:
+            order = rng.sample(range(6), 6)
+            hosts.append(make_graph(6, a.edges()))
+            hosts.append(make_graph(6, [(order[u], order[v]) for u, v in a.edges()]))
+    specs = [spec for spec in SPECS if spec.kind != "unipolar"]
+    specs.append(parse_class_spec("chi-le-f:plus:1"))
+    for g in hosts:
+        chi, (omega, _) = brute_chromatic(g), brute_clique(g)
+        for spec in specs:
+            res = exact_cover_number(g, spec)
+            assert check_certificate(g, res.certificate), (g, str(spec))
+            got = (res.value, res.stats.method)
+            f = class_f(spec)
+            if g.edge_count == 0:
+                assert got == (0, ""), (g, str(spec))
+            elif f is not None:
+                value = formula_chibound(chi, omega, f)
+                assert got == (value, "host-member" if value == 1 else "formula"), (g, str(spec))
+            elif in_class(g, spec) is not None:
+                assert got == (1, "host-member"), (g, str(spec))
+            else:
+                lower, upper = max(2, ceil_log(omega, chi)), ceil_log(2, chi)
+                if lower == upper:
+                    assert got == (lower, "bounds"), (g, str(spec))
+                else:
+                    assert lower <= res.value <= upper, (g, str(spec))
+                    assert res.stats.method in ("structural", "subset"), (g, str(spec))
+
+
 def test_bounds_fall_back_to_the_sweep_where_they_differ():
     g = parse_graph6("Fj~mo")  # chi 5, omega 4: bounds 2 and 3
     for text, method in (("perfect", "subset"), ("gsp", "structural"),
@@ -673,4 +740,4 @@ def test_solver_outputs_are_pinned():
                                       below and certificate_to_json(below)]).encode())
     assert {"host-member", "formula", "bounds", "greedy", "structural", "partition",
             "subset"} <= methods
-    assert digest.hexdigest() == "3d2764f238cec1a1de071a47abbb4dc36ac0d99190a0ef3354ea26e1c9b2bbe3"
+    assert digest.hexdigest() == "275419d0265cc3371ba6d753520c999c03ca3e4de00c18cb46dac90e796253c3"
