@@ -37,6 +37,7 @@ from .graphs import (
     bits_of,
     complement,
     complement_rows,
+    components,
     induced_rows,
     is_clique,
     neighbourhood,
@@ -211,18 +212,12 @@ def is_bipartite(g: Graph) -> Optional[Tuple[int, int]]:
 
 
 def cluster_components(n: int, rows: Sequence[int]) -> Optional[List[int]]:
-    """If every component is a clique, the component masks; else None."""
-    if _find_p3(rows, (1 << n) - 1) is not None:
+    """The component masks, by least vertex, if the graph has no induced
+    P3, so that every component is a clique (a cluster); else None."""
+    full = (1 << n) - 1
+    if _find_p3(rows, full) is not None:
         return None
-    comps = []
-    seen = 0
-    for v in range(n):
-        if seen >> v & 1:
-            continue
-        comp = (1 << v) | rows[v]
-        comps.append(comp)
-        seen |= comp
-    return comps
+    return components(rows, full)
 
 
 def is_cluster(g: Graph) -> Optional[List[int]]:
@@ -279,15 +274,12 @@ def unipolar_split_rows(n: int, rows: Sequence[int]) -> Optional[int]:
 
 
 def is_unipolar(g: Graph) -> Optional[Tuple[int, List[int]]]:
-    """(A mask, cluster component masks) or None."""
+    """(A mask, cluster masks) or None.  The split leaves G - A with no
+    induced P3, so the clusters are G - A's components, by least vertex."""
     a = unipolar_split_rows(g.n, g.rows)
     if a is None:
         return None
-    rest_rows = [g.rows[v] & ~a if not a >> v & 1 else 0 for v in range(g.n)]
-    comps = cluster_components(g.n, rest_rows)
-    assert comps is not None
-    comps = [c for c in comps if c & ~a]
-    return a, comps
+    return a, components(g.rows, ((1 << g.n) - 1) & ~a)
 
 
 def is_co_unipolar(g: Graph) -> Optional[Tuple[int, List[int]]]:
@@ -427,10 +419,7 @@ def _drop_isolated(rows: Sequence[int]) -> Tuple[int, Sequence[int]]:
     induced cycle in the graph or its complement, and it joins the clique
     side of the complement.
     """
-    active = 0
-    for r in rows:
-        active |= r
-    return induced_rows(rows, active)
+    return induced_rows(rows, neighbourhood(rows, (1 << len(rows)) - 1))
 
 
 def _member_bipartite_rows(n: int, rows: Sequence[int]) -> bool:

@@ -37,6 +37,7 @@ from covernum import (
 )
 from covernum.generators import all_graphs, random_graphs
 from covernum.graphs import edge_index, mask_rows
+from covernum.invariants import first_fit_coloring
 from covernum.recognizers import class_f, membership_fn
 from covernum.structural import unipolar_best, unipolar_family, unipolar_work
 from covernum.verify import INCLUSION_PAIRS
@@ -268,6 +269,36 @@ def test_bounds_settle_from_first_fit_without_omega_or_chi(monkeypatch):
         res = exact_cover_number(g, parse_class_spec(text))
         assert (res.value, res.stats.method) == (2, "bounds"), text
         assert check_certificate(g, res.certificate)
+
+
+def test_bounds_settle_from_the_exact_colouring_past_first_fit(monkeypatch):
+    # first fit needs more than 4 colours on both hosts, so the bounds are
+    # read from the exact chromatic number's colouring
+    import covernum.solver
+
+    calls = []
+    chromatic_number = covernum.solver.chromatic_number
+
+    def counted(g):
+        calls.append(g)
+        return chromatic_number(g)
+
+    monkeypatch.setattr(covernum.solver, "chromatic_number", counted)
+    # mycielski:5: 71 edges, past the budget; chi 5, omega 2, both bounds 3.
+    # B4 in post-order, on which first fit takes 5 colours, plus a disjoint
+    # C5: 20 edges; chi 3, omega 2, both bounds 2.
+    hosts = ((parse_family_spec("mycielski:5"), 3),
+             (parse_graph6("Tb?G?k??G??B????_??AJ?????G??G??C??H"), 2))
+    assert [g.edge_count for g, _ in hosts] == [71, 20]
+    for g, value in hosts:
+        assert first_fit_coloring(g.n, g.rows).count > 4
+        for text in ("perfect", "gsp", "co-unipolar"):
+            calls.clear()
+            res = exact_cover_number(g, parse_class_spec(text))
+            assert (res.value, res.stats.method) == (value, "bounds"), text
+            assert len(res.certificate.parts) == value
+            assert check_certificate(g, res.certificate)
+            assert calls == [g]
 
 
 def test_max_k_cap():
