@@ -13,10 +13,11 @@ layout only settles which power-of-base range chi lies in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Callable, Dict, Sequence, Tuple
 
 from .generators import hypercube
-from .graphs import EdgeSet, Graph, edge_index, full_edge_set, spanning_subgraph
+from .graphs import EdgeSet, Graph, _rows_edge_set, edge_index, spanning_subgraph
 from .invariants import Coloring, bracket_coloring, ceil_log, clique_number, first_fit_coloring
 from .recognizers import CLASSES, ClassSpec, FSpec, check_witness, class_f, flat_upto, in_class
 
@@ -107,9 +108,13 @@ def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
     the edges whose endpoint strings differ in digit d, so digit d colours
     part d with at most `base` colours.  The colours on `clique` get
     distinct constant strings, which keeps the clique inside every part;
-    otherwise the strings are the colours' plain digits.  The class's
-    registry entry builds part d's witness from digit d and the clique, or
-    the part's lowest edge where there is none, with no membership search
+    otherwise the strings are the colours' plain digits.  Part d is built
+    as adjacency rows with no loop over edges: row v keeps the neighbours
+    outside the vertex mask of v's digit value, that mask the union of the
+    colour classes whose strings share it.  The class's registry entry
+    builds part d's witness from digit d and the clique, or the part's
+    lowest edge where there is none (vertex 0 in a part with no edge),
+    with no membership search
     (recognizers.ClassEntry.digit_witness): base is the layout's f(omega)
     for a colouring class and 2 for any other.
 
@@ -132,21 +137,36 @@ def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
         strings = [const[c] if c in const else next(fresh) for c in range(count)]
     else:
         strings = [tuple(c // base ** d % base for d in range(t)) for c in range(count)]
-    of = [strings[c] for c in coloring.colors]  # each vertex's string
-    idx = edge_index(g)
-    masks = [0] * t
-    for i, (u, v) in enumerate(idx):
-        su, sv = of[u], of[v]
-        for d in range(t):
-            if su[d] != sv[d]:
-                masks[d] |= 1 << i
+    colors = coloring.colors
+    members = [0] * count  # each colour's vertex mask
+    for v, c in enumerate(colors):
+        members[c] |= 1 << v
     witness = CLASSES[spec.kind].digit_witness
     label = str(spec)
-    wits = []
-    for d, mask in enumerate(masks):
-        part_clique = clique or idx[(mask & -mask).bit_length() - 1]
-        wits.append({"class": label, **witness(spec, [s[d] for s in of], part_clique)})
-    return CoverCertificate(g, spec, tuple(EdgeSet(g, mask) for mask in masks), tuple(wits), t)
+    parts, wits = [], []
+    for d in range(t):
+        digit = [s[d] for s in strings]  # each colour's digit d
+        # the vertices of each digit value, keyed by the digit: the base
+        # may be past any list's length
+        by_digit: Dict[int, int] = {}
+        for k, m in zip(digit, members):
+            by_digit[k] = by_digit.get(k, 0) | m
+        apart = [~by_digit[k] for k in digit]  # each colour's other digits
+        rows = tuple([row & apart[c] for row, c in zip(g.rows, colors)])
+        parts.append(_rows_edge_set(g, rows))
+        digits = [digit[c] for c in colors]
+        wits.append({"class": label, **witness(spec, digits, clique or _part_clique(rows))})
+    return CoverCertificate(g, spec, tuple(parts), tuple(wits), t)
+
+
+def _part_clique(rows: Sequence[int]) -> Tuple[int, ...]:
+    """A clique of the part with these symmetric rows: its lowest edge by
+    edge id, (u, v) with u the first vertex with a neighbour, all of them
+    above it; vertex 0 alone where the part has no edge."""
+    for u, row in enumerate(rows):
+        if row:
+            return u, (row & -row).bit_length() - 1
+    return (0,)
 
 
 def formula_cover(g: Graph, spec: ClassSpec) -> CoverCertificate:
@@ -184,7 +204,6 @@ def product_coloring(g: Graph, parts: Sequence[Tuple[EdgeSet, Coloring]]) -> Col
     ids by first appearance.  Uses at most the product of the part color
     counts, which is how the cover formulas are forced from below.
     """
-    union = 0
     for es, col in parts:
         if es.host != g:
             raise ValueError("part edge set belongs to a different host graph")
@@ -193,8 +212,7 @@ def product_coloring(g: Graph, parts: Sequence[Tuple[EdgeSet, Coloring]]) -> Col
         for u, v in es.edges():
             if col.colors[u] == col.colors[v]:
                 raise ValueError(f"part coloring is improper on edge ({u}, {v})")
-        union |= es.bits
-    if union != full_edge_set(g).bits:
+    if not _covers_host(g, [es for es, _ in parts]):
         raise ValueError("parts do not cover every edge of the host")
     mapping: Dict[Tuple[int, ...], int] = {}
     out = []
@@ -204,6 +222,15 @@ def product_coloring(g: Graph, parts: Sequence[Tuple[EdgeSet, Coloring]]) -> Col
             mapping[key] = len(mapping)
         out.append(mapping[key])
     return Coloring(tuple(out), len(mapping))
+
+
+def _covers_host(g: Graph, parts: Sequence[EdgeSet]) -> bool:
+    """The parts (all of g) together hold every edge of g: their rows,
+    united row by row, are g's own."""
+    union = (0,) * g.n
+    for p in parts:
+        union = tuple(map(or_, union, p.rows))
+    return union == g.rows
 
 
 def hypercube_direction_cover(d: int) -> CoverCertificate:
@@ -238,12 +265,7 @@ def check_certificate(g: Graph, cert: CoverCertificate) -> bool:
         return False
     if cert.formula != len(cert.parts) or len(cert.witnesses) != len(cert.parts):
         return False
-    union = 0
-    for p in cert.parts:
-        if p.host != g:
-            return False
-        union |= p.bits
-    if union != full_edge_set(g).bits:
+    if any(p.host != g for p in cert.parts) or not _covers_host(g, cert.parts):
         return False
     return all(
         check_witness(spanning_subgraph(g, p), cert.spec, w)

@@ -3,13 +3,20 @@
 Vertices are 0..n-1 with n <= 64, so one Python int per vertex holds the
 whole neighbourhood and most operations reduce to bitwise arithmetic.
 Graphs are immutable values: hashable, usable as cache keys, safe to share.
+
+An EdgeSet is a subset of a host graph's edges, held as a mask over the
+host's edge ids or as adjacency rows over its vertices, whichever it was
+built from; the other form is derived once, on first read.  Cover parts
+built from vertex masks (covers.digit_cover) and the host's own edges
+(full_edge_set) start as rows, so spanning subgraphs and certificate
+checks read them with no walk over edge ids.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -231,16 +238,63 @@ def edge_index(g: Graph) -> Tuple[Edge, ...]:
     return tuple(g.edges())
 
 
-@dataclass(frozen=True)
 class EdgeSet:
-    """Subset of E(host), one bit per edge id of the host's edge index."""
+    """Subset of E(host), one bit per edge id of the host's edge index.
 
-    host: Graph
-    bits: int
+    An edge set holds either of two forms of the same edges: bits, the
+    mask over edge ids, or rows, the adjacency rows of the edges over all
+    host.n vertices.  EdgeSet(host, bits) builds one from its bits; a
+    digit cover's parts and full_edge_set build theirs from rows
+    (_rows_edge_set).  The other form is derived on its first read and
+    kept.  Edge sets are immutable values whose equality and hash go by
+    host and edges, whichever form they were built from.
+    """
 
-    def __post_init__(self) -> None:
-        if self.bits >> self.host.edge_count:
+    __slots__ = ("host", "_bits", "_rows")
+
+    def __init__(self, host: Graph, bits: int) -> None:
+        if bits >> host.edge_count:
             raise ValueError("edge bits outside the host's edge index")
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_rows", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return EdgeSet, (self.host, self.bits)
+
+    @property
+    def bits(self) -> int:
+        bits = self._bits
+        if bits is None:
+            bits = _rows_bits(self.host, self._rows)
+            object.__setattr__(self, "_bits", bits)
+        return bits
+
+    @property
+    def rows(self) -> Tuple[int, ...]:
+        """The edges' adjacency rows over all host.n vertices."""
+        rows = self._rows
+        if rows is None:
+            rows = tuple(mask_rows(self.host, self._bits))
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not EdgeSet:
+            return NotImplemented
+        return (self.host, self.bits) == (other.host, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.host, self.bits))
+
+    def __repr__(self) -> str:
+        return f"EdgeSet(host={self.host!r}, bits={self.bits!r})"
 
     def _check_host(self, other: "EdgeSet") -> None:
         if self.host != other.host:
@@ -261,8 +315,11 @@ class EdgeSet:
         return self.bits.bit_count()
 
     def edges(self) -> List[Edge]:
+        """The edges as (u, v) pairs with u < v, in edge-id order."""
+        if self._bits is None:
+            return _derived_graph(self.host.n, self._rows).edges()
         idx = edge_index(self.host)
-        m = self.bits
+        m = self._bits
         out = []
         while m:
             i = (m & -m).bit_length() - 1
@@ -271,12 +328,40 @@ class EdgeSet:
         return out
 
 
+def _rows_edge_set(host: Graph, rows: Tuple[int, ...]) -> EdgeSet:
+    """The EdgeSet whose edges are rows, without EdgeSet's check, for rows
+    that are host's own masked symmetrically (rows[v] within host.rows[v],
+    u in rows[v] iff v in rows[u]); rows is a tuple of host.n ints."""
+    es = object.__new__(EdgeSet)
+    object.__setattr__(es, "host", host)
+    object.__setattr__(es, "_bits", None)
+    object.__setattr__(es, "_rows", rows)
+    return es
+
+
+def _rows_bits(g: Graph, rows: Sequence[int]) -> int:
+    """The edge-id mask of the edges in rows, a subset of g's: edge ids
+    run through g's rows in order, each row's edges to higher vertices in
+    order of the higher end."""
+    bits = i = 0
+    for u, (full, row) in enumerate(zip(g.rows, rows)):
+        full >>= u + 1
+        row >>= u + 1
+        while full:
+            low = full & -full
+            full ^= low
+            if row & low:
+                bits |= 1 << i
+            i += 1
+    return bits
+
+
 def empty_edge_set(g: Graph) -> EdgeSet:
     return EdgeSet(g, 0)
 
 
 def full_edge_set(g: Graph) -> EdgeSet:
-    return EdgeSet(g, (1 << len(edge_index(g))) - 1)
+    return _rows_edge_set(g, g.rows)
 
 
 def edge_set_of(g: Graph, edges: Iterable[Edge]) -> EdgeSet:
@@ -296,7 +381,7 @@ def spanning_subgraph(g: Graph, es: EdgeSet) -> Graph:
     """Subgraph keeping all n vertices and only the edges in es."""
     if es.host != g:
         raise ValueError("edge set belongs to a different host graph")
-    return _derived_graph(g.n, tuple(mask_rows(g, es.bits)))
+    return _derived_graph(g.n, es.rows)
 
 
 def mask_rows(g: Graph, mask: int) -> List[int]:

@@ -24,7 +24,9 @@ picked by a max() scan and raised or lowered one neighbour at a time.
 per_pair_random_graphs and per_pair_all_graphs are the generators
 before graphs were built straight from their bit fields: bit i is pair i
 in row order, each set bit becomes an edge, and make_graph builds the
-graph.
+graph.  per_edge_digit_cover is covers.digit_cover before its parts were
+built as adjacency rows from colour-class masks: it compares the
+endpoint digit strings of every edge of the edge index.
 """
 
 import random
@@ -33,11 +35,12 @@ from itertools import combinations, product
 from typing import Iterator, List, Tuple
 
 from covernum import CapacityError, Graph, ParseError, complement, make_graph
-from covernum.covers import witnessed_cover
+from covernum.covers import CoverCertificate, witnessed_cover
 from covernum.generators import splitmix64
-from covernum.graphs import MAX_VERTICES, complement_rows, edge_index, induced_rows, mask_rows
-from covernum.invariants import chromatic_number, omega_of_rows
-from covernum.recognizers import class_f, cluster_components, find_odd_hole, membership_fn
+from covernum.graphs import (MAX_VERTICES, EdgeSet, complement_rows, edge_index, induced_rows,
+                             mask_rows)
+from covernum.invariants import ceil_log, chromatic_number, omega_of_rows
+from covernum.recognizers import CLASSES, class_f, cluster_components, find_odd_hole, membership_fn
 from covernum.structural import maximal_masks
 
 
@@ -636,3 +639,34 @@ def per_pair_random_graphs(n: int, count: int, seed: int) -> List[Graph]:
 def per_pair_all_graphs(n: int) -> Iterator[Graph]:
     for mask in range(1 << n * (n - 1) // 2):
         yield _per_pair_graph(n, mask)
+
+
+def per_edge_digit_cover(g: Graph, spec, coloring, base: int, clique) -> CoverCertificate:
+    count = coloring.count
+    if count <= 1:
+        return CoverCertificate(g, spec, (), (), 0)
+    t = ceil_log(base, count)
+    if clique:
+        const = {coloring.colors[v]: (i,) * t for i, v in enumerate(clique)}
+        taken = set(const.values())
+        counted = (tuple(c // base ** (t - 1 - d) % base for d in range(t))
+                   for c in range(base ** t))
+        fresh = (s for s in counted if s not in taken)
+        strings = [const[c] if c in const else next(fresh) for c in range(count)]
+    else:
+        strings = [tuple(c // base ** d % base for d in range(t)) for c in range(count)]
+    of = [strings[c] for c in coloring.colors]
+    idx = edge_index(g)
+    masks = [0] * t
+    for i, (u, v) in enumerate(idx):
+        su, sv = of[u], of[v]
+        for d in range(t):
+            if su[d] != sv[d]:
+                masks[d] |= 1 << i
+    witness = CLASSES[spec.kind].digit_witness
+    label = str(spec)
+    wits = []
+    for d, mask in enumerate(masks):
+        part_clique = clique or idx[(mask & -mask).bit_length() - 1]
+        wits.append({"class": label, **witness(spec, [s[d] for s in of], part_clique)})
+    return CoverCertificate(g, spec, tuple(EdgeSet(g, mask) for mask in masks), tuple(wits), t)

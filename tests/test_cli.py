@@ -207,6 +207,24 @@ def test_cover_base_past_ssize_t(capsys, monkeypatch):
     assert len(data["parts"]) == 1
 
 
+def test_cover_complete_64_bipartite(capsys, monkeypatch):
+    import io
+
+    # K64's 2,016 edges in six bipartite parts, one per binary digit of
+    # the 64 colours: every edge lies in the parts where its ends' digits
+    # differ
+    monkeypatch.setattr("sys.stdin", io.StringIO(run(capsys, "gen", "complete:64")[1]))
+    code, data, _ = run_json(capsys, "cover", "--class", "bipartite", "-")
+    assert code == 0
+    assert data["formula"] == 6
+    parts = [{tuple(e) for e in part} for part in data["parts"]]
+    assert set().union(*parts) == {(u, v) for u in range(64) for v in range(u + 1, 64)}
+    assert [len(p) for p in parts] == [1024] * 6
+    for part, witness in zip(parts, data["witnesses"]):
+        left = set(witness["sides"][0])
+        assert all((u in left) != (v in left) for u, v in part)
+
+
 def test_f_omega_past_int_str_digit_limit(capsys, monkeypatch):
     import io
     import sys

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from oracles import naive_check_witness
+from oracles import gnp_graph, naive_check_witness, per_edge_digit_cover, planted_bipartite_hosts
 
 from covernum import (
     CapacityError,
@@ -28,8 +30,8 @@ from covernum import (
 )
 from covernum.covers import CoverCertificate, digit_cover, formula_cover, witnessed_cover
 from covernum.generators import all_graphs, random_graphs, triangle_free_chromatic
-from covernum.graphs import full_edge_set
-from covernum.invariants import Coloring, check_coloring
+from covernum.graphs import Graph, _rows_edge_set, full_edge_set
+from covernum.invariants import Coloring, bracket_coloring, check_coloring, first_fit_coloring
 from covernum.recognizers import class_f, identity_f
 
 
@@ -335,3 +337,101 @@ def test_digit_witnesses_pass_the_checks():
                     forged = CoverCertificate(g, spec, cert.parts, wits, cert.formula)
                     assert not check_certificate(g, forged), (g, str(spec), bad)
     assert dropped
+
+
+def test_digit_cover_matches_the_per_edge_oracle():
+    # Parts built as rows from colour-class masks equal the parts of the
+    # per-edge comparison of digit strings, and so do their witnesses:
+    # plain digits, where a flat f's clique is each part's lowest edge, and
+    # a clique's constant strings.  Each colouring has as many digits as
+    # chi needs in its base, as digit_layout's does.  On six vertices only
+    # covers of two or more parts are compared; a one-part cover is the
+    # whole host, as on the smaller and the seeded hosts.
+    rng = random.Random(2426)
+    hosts = [g for n in range(7) for g in all_graphs(n) if g.edge_count]
+    hosts += planted_bipartite_hosts(2427, 10)
+    hosts += [gnp_graph(rng, rng.randint(7, 64), rng.uniform(0.05, 0.9)) for _ in range(30)]
+    specs = {base: parse_class_spec(f"chi-le-f:const:{base}") for base in (2, 3, 4)}
+    for g in hosts:
+        # on up to six vertices the exact colouring, fewest digits in every base
+        coloring = chromatic_number(g)[1] if g.n <= 6 else None
+        clique = clique_number(g)[1].vertices
+        for base, spec in specs.items():
+            if g.n > 6:
+                coloring = bracket_coloring(g.n, g.rows, base, 1, first_fit_coloring(g.n, g.rows))
+            elif g.n == 6 and coloring.count <= base:
+                continue
+            for cl in ((), clique[:base]):
+                want = per_edge_digit_cover(g, spec, coloring, base, cl)
+                assert digit_cover(g, spec, coloring, base, cl) == want, (g, base, cl)
+    # a base past a C ssize_t: digit classes are keyed by the digit
+    g = parse_family_spec("mycielski:4")
+    coloring = chromatic_number(g)[1]
+    for base in (2 ** 63, 4 ** 40):
+        spec = parse_class_spec(f"chi-le:{base}")
+        for cl in ((), (0, 1)):
+            got = digit_cover(g, spec, coloring, base, cl)
+            assert got.formula == 1 and check_certificate(g, got)
+            assert got == per_edge_digit_cover(g, spec, coloring, base, cl)
+
+
+def test_digit_cover_with_more_digits_than_chi_needs():
+    # A colouring count past base**(t-1) >= chi leaves a part with no
+    # edge; its witness is still checked: a flat f's clique is vertex 0.
+    g = make_graph(3, [(0, 1)])
+    coloring = Coloring((0, 1, 0), 4)
+    for text in ("bipartite", "chi-le:3", "chi-le-f:const:2", "co-unipolar"):
+        cert = digit_cover(g, parse_class_spec(text), coloring, 2, ())
+        assert [len(p) for p in cert.parts] == [1, 0], text
+        assert check_certificate(g, cert), text
+    cert = digit_cover(g, parse_class_spec("chi-le-f:const:2"), coloring, 2, ())
+    assert [w["clique"] for w in cert.witnesses] == [[0, 1], [0]]
+
+
+def test_check_certificate_rejects_mutated_row_parts():
+    # Digit cover parts are held as rows; the check still catches a part
+    # missing one edge that no other part holds, a part whose host is
+    # another graph with the same rows for that part, and two parts'
+    # witnesses swapped.
+    hosts = [complete(n) for n in (5, 7, 9)]
+    hosts += [parse_family_spec(t) for t in ("mycielski:4", "mycielski:5", "far:1,2")]
+    specs = [parse_class_spec(t) for t in ("bipartite", "chi-le:3", "chi-eq-omega")]
+    seen = {"dropped": 0, "foreign": 0, "swapped": 0}
+    for g in hosts:
+        for spec in specs:
+            cert = formula_cover(g, spec)
+            assert check_certificate(g, cert)
+            parts, wits = cert.parts, cert.witnesses
+
+            def forged(new_parts=parts, new_wits=wits):
+                return CoverCertificate(g, spec, tuple(new_parts), tuple(new_wits), cert.formula)
+
+            for i, part in enumerate(parts):
+                others = [p.rows for j, p in enumerate(parts) if j != i]
+                only = [(u, v) for u, v in part.edges() if not any(r[u] >> v & 1 for r in others)]
+                if only:
+                    u, v = only[len(only) // 2]
+                    rows = list(part.rows)
+                    rows[u] &= ~(1 << v)
+                    rows[v] &= ~(1 << u)
+                    dropped = _rows_edge_set(g, tuple(rows))
+                    assert not check_certificate(g, forged(parts[:i] + (dropped,) + parts[i + 1:]))
+                    seen["dropped"] += 1
+                # another host that holds the part's edges, one edge short
+                outside = [(u, v) for u, v in g.edges() if not part.rows[u] >> v & 1]
+                if outside:
+                    u, v = outside[0]
+                    rows = list(g.rows)
+                    rows[u] &= ~(1 << v)
+                    rows[v] &= ~(1 << u)
+                    foreign = _rows_edge_set(Graph(g.n, rows), part.rows)
+                    assert not check_certificate(g, forged(parts[:i] + (foreign,) + parts[i + 1:]))
+                    seen["foreign"] += 1
+            for i in range(len(parts)):
+                for j in range(i + 1, len(parts)):
+                    if wits[i] != wits[j]:
+                        swapped = list(wits)
+                        swapped[i], swapped[j] = wits[j], wits[i]
+                        assert not check_certificate(g, forged(new_wits=swapped)), (g, spec, i, j)
+                        seen["swapped"] += 1
+    assert all(seen.values()), seen
