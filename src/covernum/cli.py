@@ -66,7 +66,8 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         out["chi"] = chi
         out["coloring"] = list(coloring.colors)
     if want_omega:
-        omega, witness = clique_number(g)
+        # chi bounds omega, so the clique search may stop there
+        omega, witness = clique_number(g, out.get("chi"))
         out["omega"] = omega
         out["clique"] = list(witness.vertices)
     _emit(out)

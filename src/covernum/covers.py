@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import or_
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .generators import hypercube
 from .graphs import EdgeSet, Graph, _rows_edge_set, edge_index, spanning_subgraph
-from .invariants import Coloring, bracket_coloring, ceil_log, clique_number, first_fit_coloring
+from .invariants import (CliqueWitness, Coloring, bracket_coloring, ceil_log, clique_number,
+                         first_fit_coloring)
 from .recognizers import CLASSES, ClassSpec, FSpec, check_witness, class_f, flat_upto, in_class
 
 # Unused here: bench/tracing.py hooks this name on this module.
@@ -75,8 +76,8 @@ def witnessed_cover(g: Graph, spec: ClassSpec, masks: Sequence[int]) -> CoverCer
     return CoverCertificate(g, spec, parts, tuple(wits), len(parts))
 
 
-def digit_layout(g: Graph, spec: ClassSpec,
-                 floor: int = 1) -> Tuple[Coloring, int, Tuple[int, ...]]:
+def digit_layout(g: Graph, spec: ClassSpec, floor: int = 1,
+                 clique: Optional[CliqueWitness] = None) -> Tuple[Coloring, int, Tuple[int, ...]]:
     """What the formula cover of g for spec's f is built from: a colouring
     with ceil_log(base, chi) digits (invariants.bracket_coloring), the
     digit base f(omega), and the maximum clique whose colours get constant
@@ -85,18 +86,22 @@ def digit_layout(g: Graph, spec: ClassSpec,
     is at least f(2) >= 2 (recognizers.FSpec).
 
     floor is a digit count the caller knows chi needs (2 on a host outside
-    the class, chi > f(omega)), so no search is spent proving it."""
+    the class, chi > f(omega)), so no search is spent proving it.  clique
+    is g's lexicographically least maximum clique where the caller has it
+    (the solver's failed host test); otherwise it is searched here, the
+    search stopping at first fit's count, which bounds omega."""
     f = class_f(spec)
     first_fit = first_fit_coloring(g.n, g.rows)
     low = f(1)
     # f flat up to first fit's count is flat up to omega <= chi <= count
     if first_fit.count <= 1 or flat_upto(f, first_fit.count):
-        base, clique = low, ()
+        base, kept = low, ()
     else:
-        omega, witness = clique_number(g)
-        base = f(omega)
-        clique = tuple(sorted(witness.vertices)) if base > low else ()
-    return bracket_coloring(g.n, g.rows, base, floor, first_fit), base, clique
+        if clique is None:
+            clique = clique_number(g, first_fit.count)[1]
+        base = f(clique.size)
+        kept = tuple(sorted(clique.vertices)) if base > low else ()
+    return bracket_coloring(g.n, g.rows, base, floor, first_fit), base, kept
 
 
 def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,

@@ -46,8 +46,10 @@ from .graphs import (
 from .invariants import (
     CliqueWitness,
     Coloring,
+    _color_components,
     check_clique,
     clique_number,
+    dsatur_search,
     k_colorable_rows,
     omega_of_rows,
 )
@@ -305,15 +307,34 @@ def is_chi_eq_omega(g: Graph) -> Optional[Tuple[Coloring, CliqueWitness]]:
 
 
 def is_chi_le_f(g: Graph, f: FSpec) -> Optional[Tuple[Coloring, CliqueWitness, int]]:
-    """(coloring, max clique, f(omega)) if chi(g) <= f(omega(g)), else None."""
+    """(coloring, max clique, f(omega)) if chi(g) <= f(omega(g)), else None.
+
+    Colors first: the greedy first descent (the DSATUR search with k = n)
+    colors g with top colors, so omega <= top and the clique search stops
+    once a clique reaches top, with the same lexicographically least
+    clique.  Where top <= f(omega), the greedy coloring is what the search
+    for f(omega) colors would return, so it is the witness and no second
+    search runs; otherwise that search runs one component at a time
+    (invariants._color_components), and on a host searched whole it goes
+    on from the greedy coloring instead of starting over.
+    """
+    coloring, clique, fw = _chi_le_f(g, f)
+    return None if coloring is None else (coloring, clique, fw)
+
+
+def _chi_le_f(g: Graph, f: FSpec) -> Tuple[Optional[Coloring], CliqueWitness, int]:
+    """is_chi_le_f, with the clique and f(omega) also where the coloring
+    is None."""
     if g.n == 0:
         return Coloring((), 0), CliqueWitness((), 0), 0
-    w, clique = clique_number(g)
+    search = dsatur_search(g.n, g.rows, g.n)
+    greedy = next(search)
+    top = max(greedy) + 1
+    w, clique = clique_number(g, top)
     fw = f(w)
-    sol = k_colorable_rows(g.n, g.rows, fw)
-    if sol is None:
-        return None
-    return Coloring(tuple(sol), max(sol) + 1), clique, fw
+    if top <= fw:
+        return Coloring(tuple(greedy), top), clique, fw
+    return _color_components(g.n, g.rows, fw, search), clique, fw
 
 
 def _grow_hole(rows: Sequence[int], tip: int, size: int, path: int, free: int, ends: int,
@@ -483,8 +504,8 @@ def _chi_le_member(spec: ClassSpec) -> MemberFn:
 
 
 def _chi_le_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
-    sol = k_colorable_rows(g.n, g.rows, spec.k)
-    return None if sol is None else {"coloring": sol}
+    coloring = _color_components(g.n, g.rows, spec.k)
+    return None if coloring is None else {"coloring": list(coloring.colors)}
 
 
 def _check_chi_le(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
@@ -600,7 +621,9 @@ class ClassEntry:
     digits of a base-2 digit cover, so a cover number is also at most that
     of bipartite, ceil_log(2, chi).  family, where declared, builds the
     class-maximal members of a host from its structure instead of from
-    edge subsets.
+    edge subsets.  clique_witness(g, spec), where declared, is
+    witness(g, spec) together with the maximum clique of g that the test
+    searched on the way, member or not.
     """
 
     member: Callable[[ClassSpec], MemberFn]
@@ -610,6 +633,8 @@ class ClassEntry:
     param: Optional[str] = None
     digit_witness: Optional[DigitWitnessFn] = None
     family: Optional[Family] = None
+    clique_witness: Optional[Callable[[Graph, ClassSpec],
+                                      Tuple[Optional[Dict], CliqueWitness]]] = None
 
 
 def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) -> ClassEntry:
@@ -626,12 +651,14 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
             out["f_omega"] = fw
         return out
 
+    def clique_witness(g: Graph, spec: ClassSpec) -> Tuple[Optional[Dict], CliqueWitness]:
+        coloring, clique, fw = _chi_le_f(g, f_of(spec))
+        if coloring is None:
+            return None, clique
+        return body(list(coloring.colors), list(clique.vertices), fw), clique
+
     def witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
-        res = is_chi_le_f(g, f_of(spec))
-        if res is None:
-            return None
-        coloring, clique, fw = res
-        return body(list(coloring.colors), list(clique.vertices), fw)
+        return clique_witness(g, spec)[0]
 
     def digit_witness(spec: ClassSpec, digits: Sequence[int], clique: Tuple[int, ...]) -> Dict:
         # the clique is a largest one of the part, or f is flat up to it
@@ -655,7 +682,8 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
         except ValueError:
             return False
 
-    return ClassEntry(member, witness, check, f_of, param, digit_witness)
+    return ClassEntry(member, witness, check, f_of, param, digit_witness,
+                      clique_witness=clique_witness)
 
 
 def _flat(k: int) -> Callable[[int], int]:
@@ -716,9 +744,20 @@ def membership_fn(spec: ClassSpec) -> MemberFn:
     return CLASSES[spec.kind].member(spec)
 
 
-def in_class(g: Graph, spec: ClassSpec) -> Optional[Dict]:
-    """Membership witness as a JSON-ready dict, or None if not a member."""
-    body = CLASSES[spec.kind].witness(g, spec)
+def in_class(g: Graph, spec: ClassSpec,
+             cliques: Optional[List[CliqueWitness]] = None) -> Optional[Dict]:
+    """Membership witness as a JSON-ready dict, or None if not a member.
+
+    Where cliques is given and the class's test searches the maximum
+    clique of g (ClassEntry.clique_witness), that clique is appended to
+    it, member or not, so that a caller needing it next (the solver's
+    formula cover) does not search again."""
+    entry = CLASSES[spec.kind]
+    if cliques is not None and entry.clique_witness is not None:
+        body, clique = entry.clique_witness(g, spec)
+        cliques.append(clique)
+    else:
+        body = entry.witness(g, spec)
     return None if body is None else {"class": str(spec), **body}
 
 

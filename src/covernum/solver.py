@@ -84,7 +84,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .covers import CoverCertificate, digit_cover, digit_layout, witnessed_cover
 from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows
-from .invariants import ceil_log, chromatic_number, first_fit_coloring, omega_of_rows
+from .invariants import (CliqueWitness, ceil_log, chromatic_number, first_fit_coloring,
+                         omega_of_rows)
 from .recognizers import CLASSES, ClassSpec, class_f, color_bound, in_class, membership_fn
 from .structural import maximal_masks
 
@@ -354,16 +355,17 @@ def _greedy_bounds(g: Graph, spec: ClassSpec,
     return lower, ("greedy", lambda: witnessed_cover(g, spec, parts))
 
 
-def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int],
-            budget: SolveBudget) -> Tuple[int, Settled]:
+def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int], budget: SolveBudget,
+            clique: Optional[CliqueWitness]) -> Tuple[int, Settled]:
     """(lower, settled) for g, a host with an edge outside the class: lower
     bounds the cover number, and where an upper bound meets it, settled is
-    (method, maker of a cover by lower parts); otherwise None."""
+    (method, maker of a cover by lower parts); otherwise None.  clique is
+    g's maximum clique where the failed host test searched it."""
     if class_f(spec) is not None:
         # outside the class chi > f(omega), the base: two digits at least
-        coloring, base, clique = digit_layout(g, spec, floor=2)
+        coloring, base, kept = digit_layout(g, spec, floor=2, clique=clique)
         value = ceil_log(base, coloring.count)
-        return value, ("formula", lambda: digit_cover(g, spec, coloring, base, clique))
+        return value, ("formula", lambda: digit_cover(g, spec, coloring, base, kept))
     entry = CLASSES[spec.kind]
     best = entry.family and entry.family.best
     if best is not None and g.edge_count <= budget.max_edges:
@@ -374,7 +376,7 @@ def _bounds(g: Graph, spec: ClassSpec, cap: Optional[int],
     if holds_bipartite and first_fit.count <= 4:
         # g is not bipartite, so 3 <= chi <= 4: both bounds are 2
         return 2, ("bounds", lambda: digit_cover(g, spec, first_fit, 2, ()))
-    omega = omega_of_rows(g.n, g.rows)
+    omega = omega_of_rows(g.n, g.rows, first_fit.count)
     if g.edge_count > budget.max_edges:
         # First fit bounds chi, and so the lower bound, from above; the upper
         # bound is at least ceil_log(2, omega).  Where they cannot meet and
@@ -405,8 +407,10 @@ def _solve(
     universe = (1 << m) - 1
     # A member host covers itself; one part is the floor for any graph
     # with an edge, so skip the family sweep entirely.  The class's own
-    # witness search decides, and its witness is the one part's.
-    witness = in_class(g, spec)
+    # witness search decides, and its witness is the one part's; a
+    # colouring class's test leaves the host's maximum clique in cliques.
+    cliques: List[CliqueWitness] = []
+    witness = in_class(g, spec, cliques)
     if witness is not None:
         stats.family_size = 1
         stats.method = "host-member"
@@ -414,7 +418,7 @@ def _solve(
     if cap is not None and cap < 2:  # the floor of two
         return None
     if bounded:
-        lower, settled = _bounds(g, spec, cap, budget)
+        lower, settled = _bounds(g, spec, cap, budget, cliques[0] if cliques else None)
         if cap is not None and cap < lower:
             return None
         if settled is not None:

@@ -27,6 +27,12 @@ in row order, each set bit becomes an edge, and make_graph builds the
 graph.  per_edge_digit_cover is covers.digit_cover before its parts were
 built as adjacency rows from colour-class masks: it compares the
 endpoint digit strings of every edge of the edge index.
+recursive_k_colorable_rows and recursive_max_clique are the DSATUR and
+clique searches before the first ran on an explicit stack and the second
+took an upper bound; recursive_chromatic_number and whole_host_is_chi_le_f
+are chromatic_number and is_chi_le_f built on them as they were before
+the greedy colouring capped the clique search, the latter colouring the
+whole host at once, not one component at a time.
 """
 
 import random
@@ -36,9 +42,9 @@ from typing import Iterator, List, Tuple
 
 from covernum import CapacityError, Graph, ParseError, complement, make_graph
 from covernum.covers import CoverCertificate, witnessed_cover
-from covernum.generators import splitmix64
-from covernum.graphs import (MAX_VERTICES, EdgeSet, complement_rows, edge_index, induced_rows,
-                             mask_rows)
+from covernum.generators import all_graphs, splitmix64
+from covernum.graphs import (MAX_VERTICES, EdgeSet, bits_of, complement_rows, edge_index,
+                             induced_rows, mask_rows)
 from covernum.invariants import ceil_log, chromatic_number, omega_of_rows
 from covernum.recognizers import CLASSES, class_f, cluster_components, find_odd_hole, membership_fn
 from covernum.structural import maximal_masks
@@ -351,6 +357,161 @@ def key_array_k_colorable_rows(n: int, rows, k: int):
         return colors
     return None
 
+
+def recursive_max_clique(rows, cand: int) -> int:
+    """Lexicographically least maximum clique inside the candidate mask.
+
+    Branch and bound that tries vertices in increasing id and cuts a
+    branch only when it cannot beat the best size so far.  Cliques are
+    visited in lexicographic order, so the first one to reach the final
+    size is the least.
+    """
+    best = 0
+    best_mask = 0
+
+    def expand(cand: int, size: int, cur: int) -> None:
+        nonlocal best, best_mask
+        if size > best:
+            best = size
+            best_mask = cur
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            low = cand & -cand
+            cand ^= low
+            expand(cand & rows[low.bit_length() - 1], size + 1, cur | low)
+
+    expand(cand, 0, 0)
+    return best_mask
+
+
+def recursive_k_colorable_rows(n: int, rows, k: int):
+    """Proper coloring with at most k colors, or None.
+
+    Backtracking on the most saturated vertex (ties: higher degree, then
+    lower id).  A fresh color is only ever the next unused index, which
+    breaks color symmetry and keeps witnesses dense in 0..used-1.
+
+    Saturation and degree are bit-sliced counters over vertex masks, most
+    significant slice first: bit v of sat[i] is bit i (from the top) of
+    v's saturation, and likewise deg[] for its degree.  Coloring v with c
+    adds 1 to the counters of new, its uncolored neighbors not yet next to
+    c, by a ripple carry from the last slice; backtracking subtracts it
+    again.  The pick narrows the uncolored mask through the saturation
+    slices, then the degree slices, keeping a slice's vertices wherever
+    some remain, and takes the lowest bit left.
+    """
+    if n == 0:
+        return []
+    if k <= 0:
+        return None
+    if not any(rows):
+        return [0] * n
+    colors = [-1] * n
+    # has[c]: the vertices that were uncolored when a neighbor took color
+    # c.  Saturation never exceeds min(k, n), so the carry always finds a
+    # slice; deg[] is the rows summed the same way, its zero top slices cut.
+    has = [0] * min(k, n)
+    sat = [0] * min(k, n).bit_length()
+    deg = [0] * (n - 1).bit_length()
+    for r in rows:
+        j = -1
+        while r:
+            s = deg[j]
+            deg[j] = s ^ r
+            r &= s
+            j -= 1
+    while not deg[0]:
+        del deg[0]
+
+    def dfs(uncolored: int, used: int) -> bool:
+        if not uncolored:
+            return True
+        cand = uncolored
+        for s in sat:
+            t = cand & s
+            if t:
+                cand = t
+        if cand & (cand - 1):
+            for s in deg:
+                t = cand & s
+                if t:
+                    cand = t
+        vbit = cand & -cand
+        v = vbit.bit_length() - 1
+        rest = uncolored ^ vbit
+        rv = rows[v] & rest
+        for c in range(min(used + 1, k)):
+            hc = has[c]
+            if hc & vbit:
+                continue
+            colors[v] = c
+            new = rv & ~hc
+            if new:
+                has[c] = hc | new
+                j = -1
+                carry = new
+                while carry:
+                    s = sat[j]
+                    sat[j] = s ^ carry
+                    carry &= s
+                    j -= 1
+            if dfs(rest, used if c < used else c + 1):
+                return True
+            if new:
+                has[c] = hc
+                j = -1
+                while new:
+                    s = sat[j]
+                    sat[j] = s ^ new
+                    new &= ~s
+                    j -= 1
+        return False
+
+    if dfs((1 << n) - 1, 0):
+        return colors
+    return None
+
+def recursive_chromatic_number(g: Graph):
+    """chromatic_number with the recursive kernels: per component, deepen
+    from the uncapped clique number until a search succeeds."""
+    colors = [0] * g.n
+    for comp in naive_components(g.n, g.rows):
+        cn, crows = induced_rows(g.rows, comp)
+        c = recursive_max_clique(crows, (1 << cn) - 1).bit_count()
+        sol = recursive_k_colorable_rows(cn, crows, c)
+        while sol is None:
+            c += 1
+            sol = recursive_k_colorable_rows(cn, crows, c)
+        for v, color in zip(bits_of(comp), sol):
+            colors[v] = color
+    return max(colors, default=-1) + 1, tuple(colors)
+
+
+def whole_host_is_chi_le_f(g: Graph, f):
+    """is_chi_le_f before the greedy count capped its clique search: the
+    uncapped clique search, then one search for f(omega) colours over the
+    whole host; (colours, clique, f(omega)) or None."""
+    if g.n == 0:
+        return (), (), 0
+    clique = tuple(bits_of(recursive_max_clique(g.rows, (1 << g.n) - 1)))
+    fw = f(len(clique))
+    sol = recursive_k_colorable_rows(g.n, g.rows, fw)
+    return None if sol is None else (tuple(sol), clique, fw)
+
+
+
+def small_and_seeded_hosts() -> Iterator[Graph]:
+    """Every graph on up to 6 vertices, then seeded G(n, p) hosts on 7-40
+    vertices from sparse to dense: the inputs the kernels are checked
+    against their references on."""
+    rng = random.Random(2025)
+    for n in range(7):
+        yield from all_graphs(n)
+    for n in range(7, 41, 3):
+        for p in (0.2, 0.5, 0.8):
+            for _ in range(2):
+                yield gnp_graph(rng, n, p)
 
 def naive_check_coloring(g: Graph, coloring) -> bool:
     """check_coloring by the edge list: right length, every colour id in

@@ -25,7 +25,9 @@ from covernum.generators import (
 from covernum.graphs import disjoint_union
 from covernum.invariants import (
     Coloring,
+    _max_clique,
     bracket_coloring,
+    dsatur_search,
     first_fit_coloring,
     k_colorable_rows,
     omega_of_rows,
@@ -36,6 +38,10 @@ from oracles import (
     gnp_graph,
     key_array_k_colorable_rows,
     naive_k_colorable_rows,
+    recursive_chromatic_number,
+    recursive_k_colorable_rows,
+    recursive_max_clique,
+    small_and_seeded_hosts,
 )
 
 
@@ -287,3 +293,47 @@ def test_bracket_coloring_searches_below_first_fit(monkeypatch):
         got = bracket_coloring(g.n, g.rows, 2, floor, first_fit_coloring(g.n, g.rows))
         assert check_coloring(g, got) and got.count == 3
         assert asked == ks
+
+
+def test_iterative_k_colorable_matches_recursive_reference():
+    # with k = n the search never backtracks, and every k from its count
+    # up returns that same greedy colouring; a search sent fewer colours
+    # goes on to what a new search for that many returns
+    for g in small_and_seeded_hosts():
+        greedy = k_colorable_rows(g.n, g.rows, g.n)
+        top = max(greedy, default=-1) + 1
+        for k in range(g.n + 1):
+            got = k_colorable_rows(g.n, g.rows, k)
+            assert got == recursive_k_colorable_rows(g.n, g.rows, k), (g, k)
+            assert k < top or got == greedy, (g, k)
+        search = dsatur_search(g.n, g.rows, g.n)
+        got = next(search)
+        for k in range(top, -1, -1):
+            assert got == k_colorable_rows(g.n, g.rows, k), (g, k)
+            if got is None:
+                break
+            try:
+                got = search.send(k - 1)
+            except StopIteration:
+                got = None
+
+
+def test_capped_clique_search_equals_uncapped():
+    # any proper colouring's count bounds omega, and the least such count
+    # is chi: every cap from chi to n keeps the lexicographically least
+    # maximum clique
+    for g in small_and_seeded_hosts():
+        full = (1 << g.n) - 1
+        want = recursive_max_clique(g.rows, full)
+        assert _max_clique(g.rows, full) == want, g
+        chi = chromatic_number(g)[0]
+        for cap in range(chi, g.n + 1):
+            assert _max_clique(g.rows, full, cap) == want, (g, cap)
+            assert clique_number(g, cap)[1].vertices == tuple(
+                v for v in range(g.n) if want >> v & 1), (g, cap)
+
+
+def test_chromatic_number_matches_recursive_reference():
+    for g in small_and_seeded_hosts():
+        chi, coloring = chromatic_number(g)
+        assert (chi, coloring.colors) == recursive_chromatic_number(g), g

@@ -28,8 +28,9 @@ from covernum import (
     parse_graph6,
 )
 from covernum.covers import CoverCertificate
-from covernum.generators import all_graphs, kKl, random_graphs
-from covernum.graphs import complement_rows, full_edge_set
+from covernum.generators import (all_graphs, complete_multipartite, kKl, parse_family_spec,
+                                 random_graphs)
+from covernum.graphs import complement_rows, disjoint_union, full_edge_set
 from covernum.invariants import CliqueWitness, Coloring, check_clique, check_coloring
 from covernum.recognizers import (
     CLASS_KINDS,
@@ -39,9 +40,11 @@ from covernum.recognizers import (
     bipartition_rows,
     find_odd_hole,
     identity_f,
+    is_chi_le_f,
     membership_fn,
 )
 from oracles import (
+    brute_clique,
     naive_bipartition_rows,
     naive_check_clique,
     naive_check_coloring,
@@ -50,7 +53,10 @@ from oracles import (
     naive_perfect,
     naive_unipolar,
     planted_bipartite_hosts,
+    recursive_k_colorable_rows,
+    small_and_seeded_hosts,
     two_scan_odd_hole_or_antihole,
+    whole_host_is_chi_le_f,
 )
 
 ALL_SPECS = [parse_class_spec(t) for t in (
@@ -328,6 +334,81 @@ def test_chi_eq_omega_witness():
     coloring, clique = w
     assert coloring.count == 4
     assert clique.size == 4
+
+
+def test_is_chi_le_f_matches_whole_host_reference():
+    # greedy first, the clique search capped at its count, then one
+    # search per component: the same colouring, clique and f(omega) as the
+    # uncapped clique search and one whole-host search
+    fs = [parse_f_spec(t) for t in ("identity", "plus:1", "const:2", "const:3")]
+    for g in small_and_seeded_hosts():
+        for f in fs:
+            got = is_chi_le_f(g, f)
+            if got is not None:
+                coloring, clique, fw = got
+                assert coloring.count == max(coloring.colors, default=-1) + 1
+                got = coloring.colors, clique.vertices, fw
+            assert got == whole_host_is_chi_le_f(g, f), (g, f)
+
+
+def test_chi_le_witness_matches_whole_host_search():
+    for g in small_and_seeded_hosts():
+        for k in (2, 3, 4):
+            w = in_class(g, ClassSpec("chi-le", k))
+            want = recursive_k_colorable_rows(g.n, g.rows, k)
+            assert (w and w["coloring"]) == want, (g, k)
+
+
+def test_colouring_searches_stay_inside_components(monkeypatch):
+    # K_{9,9} beside the Groetzsch graph (chi 4, omega 2): a whole-host
+    # search for 3 colours, or for f(omega) = 2 or 3, backtracks through
+    # the bipartite side's colourings before it can fail.  A search of the
+    # whole host may make its first descent (the greedy colouring, or the
+    # descent to its first dead end), but only a search of one component,
+    # 18 vertices at most, is asked to go on from there.
+    import covernum.invariants
+    import covernum.recognizers
+
+    g = disjoint_union([complete_multipartite([9, 9]), parse_family_spec("mycielski:4")])
+    seen = []
+    search = covernum.invariants.dsatur_search
+
+    def recorded(n, rows, k):
+        log = [n, False]  # vertices, asked for more after its first answer
+        seen.append(log)
+        inner = search(n, rows, k)
+        try:
+            value = next(inner)
+            while True:
+                sent = yield value
+                log[1] = True
+                value = inner.send(sent)
+        except StopIteration:
+            return
+
+    for mod in (covernum.invariants, covernum.recognizers):
+        monkeypatch.setattr(mod, "dsatur_search", recorded)
+    for text in ("chi-le:3", "chi-eq-omega", "chi-le-f:plus:1"):
+        seen.clear()
+        assert in_class(g, parse_class_spec(text)) is None, text
+        assert any(n == g.n for n, _ in seen), text
+        assert all(n <= 18 for n, went_on in seen if went_on), (text, seen)
+
+
+def test_in_class_reports_the_clique_it_searched():
+    # the {chi <= f(omega)} test leaves the host's least maximum clique
+    # for the solver, member or not; other classes leave nothing
+    for g in (complete(4), cycle(5), parse_family_spec("mycielski:4")):
+        want = brute_clique(g)[1]
+        for text in ("chi-eq-omega", "chi-le-f:identity", "chi-le-f:const:3"):
+            spec = parse_class_spec(text)
+            cliques = []
+            assert in_class(g, spec, cliques) == in_class(g, spec)
+            assert [c.vertices for c in cliques] == [want], (g, text)
+        for text in ("bipartite", "chi-le:3", "perfect", "gsp"):
+            cliques = []
+            in_class(g, parse_class_spec(text), cliques)
+            assert cliques == [], (g, text)
 
 
 def test_in_class_and_check_witness_roundtrip():

@@ -301,6 +301,35 @@ def test_bounds_settle_from_the_exact_colouring_past_first_fit(monkeypatch):
             assert calls == [g]
 
 
+def test_formula_solve_reuses_the_host_tests_clique(monkeypatch):
+    # the failed {chi <= f(omega)} host test already searched the maximum
+    # clique, so the formula cover's digit layout does not search it again
+    import covernum.covers
+    import covernum.recognizers
+
+    calls = []
+    clique_number = covernum.recognizers.clique_number
+
+    def counted(g, bound=None):
+        calls.append(g)
+        return clique_number(g, bound)
+
+    def unused(*args):
+        raise AssertionError("digit layout searched the clique again")
+
+    monkeypatch.setattr(covernum.recognizers, "clique_number", counted)
+    monkeypatch.setattr(covernum.covers, "clique_number", unused)
+    for text in ("GWLAe_", "G_loAc", "GzcQlw"):
+        g = parse_graph6(text)
+        for spec_text in ("chi-eq-omega", "chi-le-f:identity"):
+            calls.clear()
+            spec = parse_class_spec(spec_text)
+            res = exact_cover_number(g, spec)
+            assert res.stats.method == "formula", (text, spec_text)
+            assert res.certificate.parts and check_certificate(g, res.certificate)
+            assert calls == [g], (text, spec_text)
+
+
 def test_max_k_cap():
     g = complete(5)  # bipartite cover number is 3
     assert decide_cover(g, parse_class_spec("bipartite"), 2) is None
