@@ -230,13 +230,30 @@ def is_cluster(g: Graph) -> Optional[List[int]]:
     return cluster_components(g.n, g.rows)
 
 
-def _find_p3(rows: Sequence[int], active: int) -> Optional[Tuple[int, int, int]]:
-    """First induced path u-b-w inside the active mask, by vertex order."""
-    rest = active
+def _find_p3(rows: Sequence[int], active: int, start: int = 0) -> Optional[Tuple[int, int, int]]:
+    """First induced path u-b-w inside the active mask, by vertex order:
+    the least middle b, then the least end u, then the least end w > u.
+    Middles below start are skipped; a caller passes a start below which
+    it knows no middle lies, as in a subset of a mask whose first P3 had
+    middle start.  Where b's closed neighbourhood is also that of each of
+    its neighbours, it is a clique component, whose vertices are no
+    middles, so the scan skips them all at once."""
+    rest = active & -(1 << start)
     while rest:
-        b = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
+        low = rest & -rest
+        b = low.bit_length() - 1
         nb = rows[b] & active
+        block = nb | low
+        m = nb
+        while m:
+            y = m & -m
+            if rows[y.bit_length() - 1] & active | y != block:
+                break
+            m ^= y
+        else:
+            rest &= ~block
+            continue
+        rest ^= low
         m = nb
         while m:
             u = (m & -m).bit_length() - 1
@@ -248,31 +265,69 @@ def _find_p3(rows: Sequence[int], active: int) -> Optional[Tuple[int, int, int]]
     return None
 
 
+def _frozen_p3(rows: Sequence[int], frozen: int, fresh: int) -> bool:
+    """Whether frozen induces a P3 through a vertex of fresh (a subset of
+    frozen).  Frozen induces none through x exactly when every y in
+    N[x] & frozen has N[y] & frozen = N[x] & frozen, x's block; the
+    vertices of a checked block share it, so each block is checked once."""
+    while fresh:
+        x = (fresh & -fresh).bit_length() - 1
+        block = (rows[x] | 1 << x) & frozen
+        m = block & ~(1 << x)
+        while m:
+            y = (m & -m).bit_length() - 1
+            m &= m - 1
+            if (rows[y] | 1 << y) & frozen != block:
+                return True
+        fresh &= ~block
+    return False
+
+
 def unipolar_split_rows(n: int, rows: Sequence[int]) -> Optional[int]:
     """Clique side A (as a mask) such that the rest is a cluster, or None.
 
-    Every induced P3 of the cluster side must lose a vertex to A, and A
-    stays pairwise adjacent, so branch three ways on the first P3 found.
+    Every induced P3 of G - A must lose a vertex to A, and A stays
+    pairwise adjacent, so the search branches three ways on the first
+    induced P3 (_find_p3) of G - A: each of its vertices adjacent to all
+    of A joins A in turn, least first, and a set A met twice is searched
+    once.  Two cuts keep that order and skip only what holds no split:
+    - resumed scan: a child's G - A is an induced subgraph of its
+      parent's, which has no induced P3 with a middle below that of its
+      first one, b, so the child's scan starts at b;
+    - frozen vertices: a vertex of G - A not adjacent to all of A never
+      joins A, since A only grows, so the frozen ones stay on the cluster
+      side of every extension and must induce a cluster graph.  A child
+      checks only the vertices its new member freezes (_frozen_p3) and is
+      skipped where they close a P3.
+    So the first clique side found is the one the uncut search finds.
     """
     full = (1 << n) - 1
     seen = set()
 
-    def rec(a_mask: int) -> Optional[int]:
-        if a_mask in seen:
-            return None
-        seen.add(a_mask)
+    # frozen: the vertices of G - A not adjacent to all of A; start: the
+    # least middle an induced P3 of G - A can have
+    def rec(a_mask: int, frozen: int, start: int) -> Optional[int]:
         rest = full & ~a_mask
-        p3 = _find_p3(rows, rest)
+        p3 = _find_p3(rows, rest, start)
         if p3 is None:
             return a_mask
-        for v in sorted(p3):
-            if rows[v] & a_mask == a_mask:
-                res = rec(a_mask | (1 << v))
-                if res is not None:
-                    return res
+        u, b, w = p3  # u < w; the loop takes the three in ascending order
+        for v in (b, u, w) if b < u else (u, b, w) if b < w else (u, w, b):
+            child = a_mask | (1 << v)
+            if frozen >> v & 1 or child in seen:
+                continue
+            seen.add(child)
+            fresh = rest & ~rows[v] & ~frozen & ~(1 << v)
+            grown = frozen | fresh
+            # a P3 needs three frozen vertices, one of them fresh
+            if fresh and grown.bit_count() > 2 and _frozen_p3(rows, grown, fresh):
+                continue
+            res = rec(child, grown, b)
+            if res is not None:
+                return res
         return None
 
-    return rec(0)
+    return rec(0, 0, 0)
 
 
 def is_unipolar(g: Graph) -> Optional[Tuple[int, List[int]]]:
@@ -504,6 +559,10 @@ def _chi_le_member(spec: ClassSpec) -> MemberFn:
 
 
 def _chi_le_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
+    # a host with an odd cycle fails chi <= 2 at the frontier walk; a
+    # bipartite one keeps the DSATUR colouring as its witness
+    if spec.k == 2 and bipartition_rows(g.n, g.rows) is None:
+        return None
     coloring = _color_components(g.n, g.rows, spec.k)
     return None if coloring is None else {"coloring": list(coloring.colors)}
 

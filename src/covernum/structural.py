@@ -13,9 +13,11 @@ the masks ascending, as the subset sweep does.
   cliques of G, and that edge set is a member.  Growing A by a vertex
   adjacent to all of it only adds edges, so A ranges over the maximal
   cliques of G; the maximal cluster edge sets of each remaining vertex set
-  are memoised.  `unipolar_best` keeps only each set's best cluster edge
-  set, counted inside a given edge mask; over all of G's edges that is the
-  most edges of a unipolar subgraph.
+  are memoised, and each vertex's list of the cliques it is least in is
+  built once per call and filtered to the vertex set at hand.
+  `unipolar_best` keeps only each set's best cluster edge set, counted
+  inside a given edge mask; over all of G's edges that is the most edges
+  of a unipolar subgraph.
 * co-unipolar: the complement of a member is unipolar, so a member is an
   independent set A plus a complete multipartite graph on the rest.  Its
   parts must hold every non-edge of G between rest vertices, so the
@@ -34,7 +36,7 @@ at m = 22 its members could be 4M Python ints, its one bytearray takes 4 MB.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, components, edge_index, neighbourhood, relabel_rows
 
@@ -135,20 +137,40 @@ def _clique_sides(rows: Sequence[int], inc: Sequence[int]) -> Iterator[Tuple[int
             yield a, touch
 
 
+def _blocks(rows: Sequence[int], inc: Sequence[int]) -> Callable[[int], List[Tuple[int, int]]]:
+    """blocks(rest): every clique whose least vertex is rest's least
+    vertex v, as (clique, edges inside it), in the order cliques() yields
+    them; v's list is built the first time v is asked for.  The blocks a
+    cluster partition of G[rest] can put v in are the cliques inside rest,
+    the filter q & ~rest == 0 of that list, and the filter keeps the order
+    cliques() gives them for rest: it extends each clique by rising
+    vertices, so leaving out the vertices outside rest only prunes."""
+    lists: List[Optional[List[Tuple[int, int]]]] = [None] * len(rows)
+
+    def blocks(rest: int) -> List[Tuple[int, int]]:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        mine = lists[v]
+        if mine is None:
+            mine = lists[v] = [(q, inside) for q, _, inside in
+                               cliques(rows, inc, low, rows[v] & -low, inc[v])]
+        return mine
+
+    return blocks
+
+
 def unipolar_family(g: Graph) -> List[int]:
     """The unipolar-maximal edge sets of g, ascending."""
     rows, inc = _bfs_rows(g)
+    blocks = _blocks(rows, inc)
     memo: Dict[int, List[int]] = {0: [0]}
 
     def clusters(rest: int) -> List[int]:
         """Maximal edge sets of disjoint unions of cliques inside G[rest]."""
         got = memo.get(rest)
         if got is None:
-            low = rest & -rest  # the block holding rest's least vertex
-            v = low.bit_length() - 1
             got = memo[rest] = maximal_masks(
-                inside | c
-                for q, _, inside in cliques(rows, inc, low, rows[v] & rest, inc[v])
+                inside | c for q, inside in blocks(rest) if not q & ~rest
                 for c in clusters(rest & ~q)
             )
         return got
@@ -166,6 +188,7 @@ def unipolar_best(g: Graph, within: int) -> Tuple[int, int]:
     unipolar_family's recursion keeping, for each vertex set, only the
     best cluster edge set; ties go to the first found."""
     rows, inc = _bfs_rows(g)
+    blocks = _blocks(rows, inc)
     memo: Dict[int, Tuple[int, int]] = {0: (0, 0)}
 
     def clusters(rest: int) -> Tuple[int, int]:
@@ -173,10 +196,10 @@ def unipolar_best(g: Graph, within: int) -> Tuple[int, int]:
         edges of within, as (count, mask)."""
         got = memo.get(rest)
         if got is None:
-            low = rest & -rest  # the block holding rest's least vertex
-            v = low.bit_length() - 1
             most = -1
-            for q, _, inside in cliques(rows, inc, low, rows[v] & rest, inc[v]):
+            for q, inside in blocks(rest):
+                if q & ~rest:
+                    continue
                 count, mask = clusters(rest & ~q)
                 count += (inside & within).bit_count()
                 if count > most:

@@ -33,6 +33,14 @@ took an upper bound; recursive_chromatic_number and whole_host_is_chi_le_f
 are chromatic_number and is_chi_le_f built on them as they were before
 the greedy colouring capped the clique search, the latter colouring the
 whole host at once, not one component at a time.
+uncut_unipolar_split_rows is the unipolar split search before it skipped
+children whose frozen vertices induce a P3 and resumed each child's P3
+scan at its parent's middle vertex: it rescans G - A from vertex 0 at
+every node, one middle at a time, and descends into every child.  per_set_unipolar_best is
+structural.unipolar_best before each vertex's cliques were listed once
+per call: it runs the cliques() generator anew for every vertex set.
+planted_unipolar_hosts plants a clique side and clusters, for the split
+search to find.
 """
 
 import random
@@ -47,7 +55,7 @@ from covernum.graphs import (MAX_VERTICES, EdgeSet, bits_of, complement_rows, ed
                              induced_rows, mask_rows)
 from covernum.invariants import ceil_log, chromatic_number, omega_of_rows
 from covernum.recognizers import CLASSES, class_f, cluster_components, find_odd_hole, membership_fn
-from covernum.structural import maximal_masks
+from covernum.structural import _bfs_rows, _clique_sides, cliques, maximal_masks
 
 
 def brute_chromatic(g: Graph) -> int:
@@ -831,3 +839,99 @@ def per_edge_digit_cover(g: Graph, spec, coloring, base: int, clique) -> CoverCe
         part_clique = clique or idx[(mask & -mask).bit_length() - 1]
         wits.append({"class": label, **witness(spec, [s[d] for s in of], part_clique)})
     return CoverCertificate(g, spec, tuple(EdgeSet(g, mask) for mask in masks), tuple(wits), t)
+
+
+def _uncut_find_p3(rows, active: int):
+    """First induced path u-b-w inside the active mask, by vertex order."""
+    rest = active
+    while rest:
+        b = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        nb = rows[b] & active
+        m = nb
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            others = nb & ~rows[u] & ~((1 << (u + 1)) - 1)
+            if others:
+                w = (others & -others).bit_length() - 1
+                return (u, b, w)
+    return None
+
+
+def uncut_unipolar_split_rows(n: int, rows):
+    """Clique side A (as a mask) such that the rest is a cluster, or None:
+    branch three ways on the first induced P3 of G - A."""
+    full = (1 << n) - 1
+    seen = set()
+
+    def rec(a_mask: int):
+        if a_mask in seen:
+            return None
+        seen.add(a_mask)
+        rest = full & ~a_mask
+        p3 = _uncut_find_p3(rows, rest)
+        if p3 is None:
+            return a_mask
+        for v in sorted(p3):
+            if rows[v] & a_mask == a_mask:
+                res = rec(a_mask | (1 << v))
+                if res is not None:
+                    return res
+        return None
+
+    return rec(0)
+
+
+def per_set_unipolar_best(g: Graph, within: int):
+    """(count, mask) of a unipolar subgraph of g holding the most edges of
+    within, the cliques of each vertex set generated anew."""
+    rows, inc = _bfs_rows(g)
+    memo = {0: (0, 0)}
+
+    def clusters(rest: int):
+        got = memo.get(rest)
+        if got is None:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            most = -1
+            for q, _, inside in cliques(rows, inc, low, rows[v] & rest, inc[v]):
+                count, mask = clusters(rest & ~q)
+                count += (inside & within).bit_count()
+                if count > most:
+                    most = count
+                    got = count, inside | mask
+            memo[rest] = got
+        return got
+
+    everyone = (1 << len(rows)) - 1
+    best = (0, 0)
+    most = -1
+    for a, touch in _clique_sides(rows, inc):
+        count, mask = clusters(everyone & ~a)
+        count += (touch & within).bit_count()
+        if count > most:
+            most = count
+            best = count, touch | mask
+    return best
+
+
+def planted_unipolar_hosts(seed: int, count: int, n_min: int = 24, n_max: int = 64):
+    """count hosts on n_min..n_max vertices, each relabelled at random: a
+    clique on a fifth of the vertices, cliques of 1-4 vertices on the rest,
+    and each pair across the two sides an edge with chance 0.4."""
+    rng = random.Random(seed)
+    hosts = []
+    for _ in range(count):
+        n = rng.randint(n_min, n_max)
+        a = n // 5
+        edges = list(combinations(range(a), 2))
+        v = a
+        while v < n:
+            block = range(v, min(n, v + rng.randint(1, 4)))
+            edges += combinations(block, 2)
+            v = block.stop
+        edges += [(x, y) for x in range(a) for y in range(a, n) if rng.random() < 0.4]
+        label = rng.sample(range(n), n)
+        hosts.append(make_graph(n, [(label[x], label[y]) for x, y in edges]))
+    return hosts

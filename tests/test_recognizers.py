@@ -1,6 +1,7 @@
 import copy
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -36,15 +37,19 @@ from covernum.recognizers import (
     CLASS_KINDS,
     ClassSpec,
     FSpec,
+    _find_p3,
+    _frozen_p3,
     _odd_hole_or_antihole,
     bipartition_rows,
     find_odd_hole,
     identity_f,
     is_chi_le_f,
     membership_fn,
+    unipolar_split_rows,
 )
 from oracles import (
     brute_clique,
+    gnp_graph,
     naive_bipartition_rows,
     naive_check_clique,
     naive_check_coloring,
@@ -53,9 +58,11 @@ from oracles import (
     naive_perfect,
     naive_unipolar,
     planted_bipartite_hosts,
+    planted_unipolar_hosts,
     recursive_k_colorable_rows,
     small_and_seeded_hosts,
     two_scan_odd_hole_or_antihole,
+    uncut_unipolar_split_rows,
     whole_host_is_chi_le_f,
 )
 
@@ -197,6 +204,106 @@ def test_unipolar_against_naive_oracle():
     for n in range(6):
         for g in all_graphs(n):
             assert (is_unipolar(g) is not None) == naive_unipolar(g)
+
+
+def test_split_search_finds_the_uncut_clique_side():
+    # the frozen-vertex cut and the resumed P3 scan skip only subtrees
+    # holding no split and scan positions holding no P3, so the clique
+    # side found, as a mask, is the uncut search's: on every graph up to
+    # 6 vertices, seeded 7-12 vertex graphs and their complements, and
+    # planted 24-64 vertex unipolar hosts and their complements
+    hosts = [g for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(26)
+    for _ in range(500):
+        g = gnp_graph(rng, rng.randint(7, 12), rng.random())
+        hosts += [g, complement(g)]
+    planted = planted_unipolar_hosts(26, 24)
+    hosts += [h for g in planted for h in (g, complement(g))]
+    found = []
+    for g in hosts:
+        a = unipolar_split_rows(g.n, g.rows)
+        assert a == uncut_unipolar_split_rows(g.n, g.rows), g
+        found.append(a is not None)
+    # the planted hosts are unipolar, and the searches on their
+    # complements include failing ones, which walk the whole cut tree
+    k = len(planted)
+    assert all(found[-2 * k::2]) and not all(found[-2 * k + 1::2])
+
+
+def test_frozen_cut_prunes_failing_searches(monkeypatch):
+    # the complements of planted unipolar hosts are not unipolar; with the
+    # frozen-vertex cut their failing searches scan G - A at a tenth of the
+    # nodes, or fewer, that they scan without it
+    import covernum.recognizers
+
+    hosts = [complement(g) for g in planted_unipolar_hosts(27, 6)]
+    scan = covernum.recognizers._find_p3
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(covernum.recognizers, "_find_p3", counted)
+    cut = []
+    for g in hosts:
+        calls[0] = 0
+        assert unipolar_split_rows(g.n, g.rows) is None, g
+        cut.append(calls[0])
+    monkeypatch.setattr(covernum.recognizers, "_frozen_p3", lambda *args: False)
+    for g, nodes in zip(hosts, cut):
+        calls[0] = 0
+        assert unipolar_split_rows(g.n, g.rows) is None, g
+        assert 10 * nodes <= calls[0], (g, nodes, calls[0])
+
+
+def _p3s(rows, mask):
+    """Every induced P3 (u, b, w), u < w, inside mask, brute force."""
+    vs = [v for v in range(len(rows)) if mask >> v & 1]
+    return [(u, b, w) for b in vs for u in vs for w in vs
+            if u < w and b not in (u, w) and rows[b] >> u & 1 and rows[b] >> w & 1
+            and not rows[u] >> w & 1]
+
+
+def test_p3_scan_finds_the_least_p3_from_its_start():
+    # the least middle at or above start, then the least ends, on random
+    # graphs and on disjoint cliques (whose blocks the scan skips) with a
+    # few random edges added
+    rng = random.Random(261)
+    for i in range(2000):
+        n = rng.randint(0, 9)
+        g = gnp_graph(rng, n, rng.random())
+        if i % 2:
+            cut = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+            blocks = [range(a, b) for a, b in zip([0, *cut], [*cut, n])]
+            edges = [e for b in blocks for e in combinations(b, 2)]
+            edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2)) if n > 1]
+            g = make_graph(n, edges)
+        active = rng.getrandbits(n)
+        start = rng.randint(0, n)
+        want = min(((b, u, w) for u, b, w in _p3s(g.rows, active) if b >= start),
+                   default=None)
+        got = _find_p3(g.rows, active, start)
+        assert got == (want and (want[1], want[0], want[2])), (g, active, start)
+
+
+def test_frozen_check_finds_the_p3s_through_new_vertices():
+    # _frozen_p3(rows, frozen, fresh) reports exactly whether frozen
+    # induces a P3 with a vertex in fresh; where the old frozen vertices
+    # induce none, that is whether _find_p3 finds one in frozen
+    rng = random.Random(262)
+    checked = 0
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        g = gnp_graph(rng, n, rng.random())
+        frozen = rng.getrandbits(n)
+        fresh = frozen & rng.getrandbits(n)
+        through_new = any((1 << u | 1 << b | 1 << w) & fresh for u, b, w in _p3s(g.rows, frozen))
+        assert _frozen_p3(g.rows, frozen, fresh) == through_new, (g, frozen, fresh)
+        if _find_p3(g.rows, frozen & ~fresh) is None:
+            checked += 1
+            assert through_new == (_find_p3(g.rows, frozen) is not None), (g, frozen, fresh)
+    assert checked > 1000
 
 
 def test_unipolar_examples():
@@ -357,6 +464,28 @@ def test_chi_le_witness_matches_whole_host_search():
             w = in_class(g, ClassSpec("chi-le", k))
             want = recursive_k_colorable_rows(g.n, g.rows, k)
             assert (w and w["coloring"]) == want, (g, k)
+
+
+def test_chi_le_2_fails_at_the_frontier_walk(monkeypatch):
+    # every graph up to 6 vertices: an odd cycle answers None with no
+    # colouring search, a bipartite host keeps the DSATUR colouring
+    import covernum.recognizers
+
+    search = covernum.recognizers._color_components
+
+    def searched(n, rows, *args):
+        assert bipartition_rows(n, rows) is not None
+        return search(n, rows, *args)
+
+    monkeypatch.setattr(covernum.recognizers, "_color_components", searched)
+    spec = ClassSpec("chi-le", 2)
+    for n in range(7):
+        for g in all_graphs(n):
+            w = in_class(g, spec)
+            if bipartition_rows(g.n, g.rows) is None:
+                assert w is None, g
+            else:
+                assert w["coloring"] == recursive_k_colorable_rows(g.n, g.rows, 2), g
 
 
 def test_colouring_searches_stay_inside_components(monkeypatch):

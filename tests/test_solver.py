@@ -4,8 +4,10 @@ import pytest
 from oracles import (
     brute_chromatic,
     brute_clique,
+    gnp_graph,
     naive_partition_family,
     naive_subset_family,
+    per_set_unipolar_best,
     witnessed_host_member,
 )
 
@@ -501,6 +503,22 @@ def test_unipolar_best_matches_the_family():
             assert count == max((f & within).bit_count() for f in family), (g, within)
             assert (mask & within).bit_count() == count and mask & ~full == 0, (g, within)
             assert member(g.n, mask_rows(g, mask)), (g, within)
+
+
+def test_unipolar_best_matches_the_per_set_recursion():
+    # each vertex's cliques listed once and filtered per vertex set give
+    # the same (count, mask), ties included, as generating them anew: every
+    # labelled graph on up to 5 vertices, seeded 6- to 10-vertex hosts from
+    # sparse to dense, within all edges or a random half of them
+    import random
+
+    rng = random.Random(26)
+    hosts = [g for n in range(6) for g in all_graphs(n)]
+    hosts += [gnp_graph(rng, rng.randint(6, 10), rng.random()) for _ in range(600)]
+    for g in hosts:
+        full = (1 << g.edge_count) - 1
+        for within in (full, rng.getrandbits(g.edge_count)):
+            assert unipolar_best(g, within) == per_set_unipolar_best(g, within), (g, within)
 
 
 def test_greedy_covers_match_the_sweep():
