@@ -204,12 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a cross-checking suite")
     p.add_argument("suite", help=" | ".join(SUITES))
     p.add_argument("--n-max", type=int, default=None,
-                   help="largest corpus graph (hhm, chibound, chain, inclusion) or "
-                        "dimension (hypercube, arithmetic); other suites exit 2")
+                   help="largest corpus graph (chibound, chain, inclusion); other suites exit 2")
     p.add_argument("--samples", type=int, default=None,
-                   help="random graphs per n above 5 (hhm, chibound, chain, inclusion); "
+                   help="random graphs per n above 5 (chibound, chain, inclusion); "
                         "other suites exit 2")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="corpus seed (chibound, chain, inclusion); other suites exit 2")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

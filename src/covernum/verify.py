@@ -1,11 +1,13 @@
 """Cross-checking suites: solver oracle against the closed formulas.
 
-Each suite sweeps a corpus (exhaustive labelled graphs up to n = 5, then
-seeded random samples) and compares the exact set-cover oracle with the
-formula or ordering it is supposed to obey.  The oracle is
-`sweep_cover_number`, which enumerates and never reads an answer off the
-formulas it is checked against.  Reports are deterministic
-JSON-ready dicts: parameters in, failures out, no timestamps.
+`chibound`, `chain` and `inclusion` sweep a corpus (exhaustive labelled
+graphs up to n = 5, then seeded random samples) and compare the exact
+set-cover oracle with the formula or ordering it is supposed to obey.
+`gaps` runs fixed families: disjoint cliques, hypercubes and the counting
+bound on Q_d's unipolar cover number.  The oracle is `sweep_cover_number`,
+which enumerates and never reads an answer off the formulas it is checked
+against.  Reports are deterministic JSON-ready dicts: parameters in,
+failures out, no timestamps.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ MAX_FAILURES_KEPT = 25
 
 def corpus_graphs(n_max: int, samples: int, seed: int) -> List[Graph]:
     """Exhaustive up to n = 5, then `samples` seeded graphs per larger n."""
+    if n_max < 0 or samples < 0:
+        raise ValueError(f"corpus sizes must be >= 0, got n_max {n_max}, samples {samples}")
     out: List[Graph] = []
     for n in range(0, min(n_max, 5) + 1):
         out.extend(all_graphs(n))
@@ -88,7 +92,7 @@ def _corpus_suite(name: str, check: Callable[[str], List[Dict]], n_max: int, sam
     return _report(name, params, len(graphs), failures)
 
 
-CHIBOUND_CLASSES = ("chi-le:2", "chi-le:3", "chi-le-f:identity", "chi-le-f:plus:1")
+CHIBOUND_CLASSES = ("bipartite", "chi-le:2", "chi-le:3", "chi-le-f:identity", "chi-le-f:plus:1")
 
 
 def _chibound_failures(g6: str, class_texts: Sequence[str]) -> List[Dict]:
@@ -108,18 +112,11 @@ def _chibound_failures(g6: str, class_texts: Sequence[str]) -> List[Dict]:
 
 def suite_chibound(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED,
                    workers: int = 1) -> Dict:
-    """Oracle covers for coloring-bounded classes against ceil-log formulas."""
+    """Oracle covers for coloring-bounded classes against ceil-log formulas;
+    the bipartite row is Harary, Hsu and Miller's ceil(log2 chi)."""
     check = partial(_chibound_failures, class_texts=CHIBOUND_CLASSES)
     return _corpus_suite("chibound", check, n_max, samples, seed, workers,
                          classes=list(CHIBOUND_CLASSES))
-
-
-def suite_hhm(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED,
-              workers: int = 1) -> Dict:
-    """Oracle minimum bipartite covers against ceil(log2 chi): the chibound
-    check at f = 2."""
-    check = partial(_chibound_failures, class_texts=("bipartite",))
-    return _corpus_suite("hhm", check, n_max, samples, seed, workers)
 
 
 CHAIN_SPECS = ("chi-eq-omega", "perfect", "gsp", "co-unipolar", "bipartite")
@@ -161,72 +158,52 @@ def _far3_grid() -> List[tuple]:
     return grid
 
 
-def suite_far3(seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
-    """Co-unipolar cover numbers of k disjoint K_l on a fixed grid, run
-    serially whatever `workers` says.
+def suite_gaps(workers: int = 1) -> Dict:
+    """Fixed-family gap checks, run serially whatever `workers` says.
 
-    The closed form min(k, log2 l) is asserted only when l is a power of
-    two; other l are swept and recorded without assertion.
+    - k disjoint K_l on a fixed grid: the co-unipolar cover number is
+      min(k, log2 l), asserted only when l is a power of two; other l are
+      swept and recorded without assertion.
+    - Q_d, d = 1..62: the counting lower bound on the unipolar cover
+      number equals d exactly when d >= 8, asserted from d = 3 (Q_1's bound
+      is 1 = d); for d <= 6, the largest hypercube built, the d direction
+      matchings are a valid cover in parts of 2^(d-1) edges.
+    - Q_3's largest unipolar subgraph has the counting bound's budget.
     """
     failures = []
     records = []
+    grid = _far3_grid()
     spec = ClassSpec("co-unipolar")
-    for k, l in _far3_grid():
-        g = kKl(k, l)
-        got = sweep_cover_number(g, spec).value
+    for k, l in grid:
+        got = sweep_cover_number(kKl(k, l), spec).value
         power_of_two = l & (l - 1) == 0
         expected = min(k, ceil_log(2, l)) if power_of_two else None
         records.append({"k": k, "l": l, "computed": got, "expected": expected,
                         "asserted": power_of_two})
         if expected is not None and got != expected:
             failures.append({"k": k, "l": l, "expected": expected, "computed": got})
-    params = {"seed": seed, "grid": [[k, l] for k, l in _far3_grid()]}
-    return _report("far3", params, len(records), failures, {"records": records})
-
-
-def suite_hypercube(n_max: int = 6, seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
-    """Direction covers of Q_d, plus the Q_3 max unipolar subgraph size;
-    serial whatever `workers` says."""
-    d_max = min(n_max if n_max >= 1 else 6, 6)
-    failures = []
-    records = []
-    for d in range(1, d_max + 1):
-        cert = hypercube_direction_cover(d)
-        g = hypercube(d)
-        sizes = [len(p) for p in cert.parts]
-        # d parts of 2^(d-1) edges that cover Q_d's d * 2^(d-1) are disjoint
-        ok = (
-            check_certificate(g, cert)
-            and len(cert.parts) == d
-            and all(s == 2 ** (d - 1) for s in sizes)
-        )
-        records.append({"d": d, "parts": len(cert.parts), "part_sizes": sizes,
-                        "valid": ok})
-        if not ok:
-            failures.append({"d": d, "parts": len(cert.parts), "part_sizes": sizes})
-    if d_max >= 3:
-        q3 = hypercube(3)
-        got = max_class_subgraph_size(q3, ClassSpec("unipolar"))
-        bound = unipolar_subgraph_bound(3)
-        records.append({"d": 3, "max_unipolar_edges": got, "bound": bound})
-        if got != bound:
-            failures.append({"d": 3, "max_unipolar_edges": got, "bound": bound})
-    params = {"d_max": d_max, "seed": seed}
-    return _report("hypercube", params, len(records), failures, {"records": records})
-
-
-def suite_arithmetic(n_max: int = 62, seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
-    """Integer sweep of the Q_d cover lower bound: equals d iff d >= 8;
-    serial whatever `workers` says."""
-    d_max = max(8, min(n_max, 62))
-    failures = []
-    for d in range(3, d_max + 1):
+    for d in range(1, 63):
         lb = hypercube_lower_bound(d)
-        ok = lb == d if d >= 8 else lb < d
-        if not ok:
+        record = {"d": d, "lower_bound": lb}
+        if d <= 6:
+            cert = hypercube_direction_cover(d)
+            sizes = [len(p) for p in cert.parts]
+            # d parts of 2^(d-1) edges that cover Q_d's d * 2^(d-1) are disjoint
+            ok = (check_certificate(hypercube(d), cert) and len(cert.parts) == d
+                  and all(s == 2 ** (d - 1) for s in sizes))
+            record.update(parts=len(cert.parts), part_sizes=sizes, valid=ok)
+            if not ok:
+                failures.append({"d": d, "parts": len(cert.parts), "part_sizes": sizes})
+        records.append(record)
+        if d >= 3 and not (lb == d if d >= 8 else lb < d):
             failures.append({"d": d, "lower_bound": lb})
-    params = {"d_min": 3, "d_max": d_max, "seed": seed}
-    return _report("arithmetic", params, d_max - 2, failures)
+    got = max_class_subgraph_size(hypercube(3), ClassSpec("unipolar"))
+    bound = unipolar_subgraph_bound(3)
+    records.append({"d": 3, "max_unipolar_edges": got, "bound": bound})
+    if got != bound:
+        failures.append({"d": 3, "max_unipolar_edges": got, "bound": bound})
+    params = {"grid": [[k, l] for k, l in grid], "d_max": 62}
+    return _report("gaps", params, len(records), failures, {"records": records})
 
 
 INCLUSION_PAIRS = (
@@ -261,13 +238,10 @@ def suite_inclusion(n_max: int = 5, samples: int = 25, seed: int = DEFAULT_SEED,
 
 
 SUITES: Dict[str, Callable[..., Dict]] = {
-    "hhm": suite_hhm,
     "chibound": suite_chibound,
     "chain": suite_chain,
-    "far3": suite_far3,
-    "hypercube": suite_hypercube,
-    "arithmetic": suite_arithmetic,
     "inclusion": suite_inclusion,
+    "gaps": suite_gaps,
 }
 
 

@@ -40,22 +40,30 @@ every node, one middle at a time, and descends into every child.  per_set_unipol
 structural.unipolar_best before each vertex's cliques were listed once
 per call: it runs the cliques() generator anew for every vertex set.
 planted_unipolar_hosts plants a clique side and clusters, for the split
-search to find.
+search to find.  suite_hhm, suite_far3, suite_hypercube and
+suite_arithmetic are the verify suites that the chibound suite's
+bipartite row and the gaps suite replaced, kept as they were: each
+reads its oracle and formulas from this module, so a test that injects
+a fault patches them here and in covernum.verify alike.
 """
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from covernum import CapacityError, Graph, ParseError, complement, make_graph
-from covernum.covers import CoverCertificate, witnessed_cover
-from covernum.generators import all_graphs, splitmix64
+from covernum.covers import (CoverCertificate, check_certificate, hypercube_direction_cover,
+                             hypercube_lower_bound, unipolar_subgraph_bound, witnessed_cover)
+from covernum.generators import all_graphs, hypercube, kKl, splitmix64
 from covernum.graphs import (MAX_VERTICES, EdgeSet, bits_of, complement_rows, edge_index,
                              induced_rows, mask_rows)
 from covernum.invariants import ceil_log, chromatic_number, omega_of_rows
-from covernum.recognizers import CLASSES, class_f, cluster_components, find_odd_hole, membership_fn
+from covernum.recognizers import (CLASSES, ClassSpec, class_f, cluster_components, find_odd_hole,
+                                  membership_fn)
+from covernum.solver import max_class_subgraph_size, sweep_cover_number
 from covernum.structural import _bfs_rows, _clique_sides, cliques, maximal_masks
+from covernum.verify import DEFAULT_SEED, _chibound_failures, _corpus_suite, _far3_grid, _report
 
 
 def brute_chromatic(g: Graph) -> int:
@@ -935,3 +943,79 @@ def planted_unipolar_hosts(seed: int, count: int, n_min: int = 24, n_max: int = 
         label = rng.sample(range(n), n)
         hosts.append(make_graph(n, [(label[x], label[y]) for x, y in edges]))
     return hosts
+
+
+def suite_hhm(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED,
+              workers: int = 1) -> Dict:
+    """Oracle minimum bipartite covers against ceil(log2 chi): the chibound
+    check at f = 2."""
+    check = partial(_chibound_failures, class_texts=("bipartite",))
+    return _corpus_suite("hhm", check, n_max, samples, seed, workers)
+
+
+def suite_far3(seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
+    """Co-unipolar cover numbers of k disjoint K_l on a fixed grid, run
+    serially whatever `workers` says.
+
+    The closed form min(k, log2 l) is asserted only when l is a power of
+    two; other l are swept and recorded without assertion.
+    """
+    failures = []
+    records = []
+    spec = ClassSpec("co-unipolar")
+    for k, l in _far3_grid():
+        g = kKl(k, l)
+        got = sweep_cover_number(g, spec).value
+        power_of_two = l & (l - 1) == 0
+        expected = min(k, ceil_log(2, l)) if power_of_two else None
+        records.append({"k": k, "l": l, "computed": got, "expected": expected,
+                        "asserted": power_of_two})
+        if expected is not None and got != expected:
+            failures.append({"k": k, "l": l, "expected": expected, "computed": got})
+    params = {"seed": seed, "grid": [[k, l] for k, l in _far3_grid()]}
+    return _report("far3", params, len(records), failures, {"records": records})
+
+
+def suite_hypercube(n_max: int = 6, seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
+    """Direction covers of Q_d, plus the Q_3 max unipolar subgraph size;
+    serial whatever `workers` says."""
+    d_max = min(n_max if n_max >= 1 else 6, 6)
+    failures = []
+    records = []
+    for d in range(1, d_max + 1):
+        cert = hypercube_direction_cover(d)
+        g = hypercube(d)
+        sizes = [len(p) for p in cert.parts]
+        # d parts of 2^(d-1) edges that cover Q_d's d * 2^(d-1) are disjoint
+        ok = (
+            check_certificate(g, cert)
+            and len(cert.parts) == d
+            and all(s == 2 ** (d - 1) for s in sizes)
+        )
+        records.append({"d": d, "parts": len(cert.parts), "part_sizes": sizes,
+                        "valid": ok})
+        if not ok:
+            failures.append({"d": d, "parts": len(cert.parts), "part_sizes": sizes})
+    if d_max >= 3:
+        q3 = hypercube(3)
+        got = max_class_subgraph_size(q3, ClassSpec("unipolar"))
+        bound = unipolar_subgraph_bound(3)
+        records.append({"d": 3, "max_unipolar_edges": got, "bound": bound})
+        if got != bound:
+            failures.append({"d": 3, "max_unipolar_edges": got, "bound": bound})
+    params = {"d_max": d_max, "seed": seed}
+    return _report("hypercube", params, len(records), failures, {"records": records})
+
+
+def suite_arithmetic(n_max: int = 62, seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
+    """Integer sweep of the Q_d cover lower bound: equals d iff d >= 8;
+    serial whatever `workers` says."""
+    d_max = max(8, min(n_max, 62))
+    failures = []
+    for d in range(3, d_max + 1):
+        lb = hypercube_lower_bound(d)
+        ok = lb == d if d >= 8 else lb < d
+        if not ok:
+            failures.append({"d": d, "lower_bound": lb})
+    params = {"d_min": 3, "d_max": d_max, "seed": seed}
+    return _report("arithmetic", params, d_max - 2, failures)

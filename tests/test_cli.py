@@ -337,42 +337,54 @@ def test_parse_error_exit(capsys, tmp_path):
     assert code == 2
 
 
-def test_verify_arithmetic(capsys):
-    code, data, err = run_json(capsys, "verify", "arithmetic")
+def test_verify_gaps(capsys):
+    code, data, err = run_json(capsys, "verify", "gaps")
     assert code == 0
     assert data["passed"] is True
-    assert err.startswith("# suite arithmetic")
+    assert err.startswith("# suite gaps")
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run(capsys, "verify", "paradox")
-    assert code == 2
+    # the last four are suites folded into chibound and gaps
+    for name in ("paradox", "hhm", "far3", "hypercube", "arithmetic"):
+        code, out, err = run(capsys, "verify", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown suite '{name}', have chain, chibound, gaps, inclusion\n"
 
 
 def test_verify_stdout_is_deterministic(capsys):
-    code1, out1, _ = run(capsys, "verify", "far3")
-    code2, out2, _ = run(capsys, "verify", "far3")
+    code1, out1, _ = run(capsys, "verify", "gaps")
+    code2, out2, _ = run(capsys, "verify", "gaps")
     assert code1 == code2 == 0
     assert out1 == out2
 
 
 def test_verify_accepts_corpus_flags(capsys):
-    code, data, _ = run_json(capsys, "verify", "hhm", "--n-max", "3", "--seed", "5")
+    code, data, _ = run_json(capsys, "verify", "chibound", "--n-max", "3", "--seed", "5")
     assert code == 0
     assert data["params"]["n_max"] == 3
     assert data["params"]["seed"] == 5
+    code, data, _ = run_json(capsys, "verify", "chain", "--n-max", "3", "--samples", "0")
+    assert (code, data["instances"]) == (0, 12)
+
+
+def test_verify_rejects_negative_corpus_sizes(capsys):
+    # a corpus of no graphs would pass having checked nothing
+    for flags, msg in ((("--n-max", "-1"), "n_max -1, samples 200"),
+                       (("--samples", "-3"), "n_max 7, samples -3")):
+        code, out, err = run(capsys, "verify", "chibound", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: corpus sizes must be >= 0, got {msg}\n"
 
 
 def test_verify_rejects_flags_the_suite_does_not_read(capsys):
-    for argv, unread in ((("far3", "--samples", "3"), "samples"),
-                         (("far3", "--n-max", "3", "--samples", "7"), "n_max, samples"),
-                         (("hypercube", "--samples", "3"), "samples"),
-                         (("arithmetic", "--samples", "3"), "samples")):
+    for argv, unread in ((("gaps", "--samples", "3"), "samples"),
+                         (("gaps", "--n-max", "3"), "n_max"),
+                         (("gaps", "--seed", "5"), "seed"),
+                         (("gaps", "--n-max", "3", "--samples", "7"), "n_max, samples")):
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (2, "")
         assert err == f"error: suite {argv[0]} does not read {unread}\n"
-    code, data, _ = run_json(capsys, "verify", "hypercube", "--n-max", "3")
-    assert (code, data["params"]["d_max"]) == (0, 3)
 
 
 def test_solve_rejects_a_negative_edge_budget(capsys, tmp_path):
@@ -399,7 +411,7 @@ def test_cover_and_solve_agree_where_no_member_covers_an_edge(capsys, tmp_path):
 
 def test_verify_rejects_a_non_integer_thread_count(capsys, monkeypatch):
     monkeypatch.setenv("COVERNUM_THREADS", "two")
-    code, out, err = run(capsys, "verify", "hhm")
+    code, out, err = run(capsys, "verify", "chibound")
     assert (code, out) == (2, "")
     assert err == "error: COVERNUM_THREADS must be an integer, got 'two'\n"
 
@@ -422,7 +434,7 @@ def test_help_lists_every_class_and_suite(capsys, monkeypatch):
         assert f" {suite} " in helps["verify"] or f" {suite}\n" in helps["verify"], suite
     # each corpus flag's help names exactly the suites that read it
     lines = helps["verify"].splitlines()
-    for flag, param in (("--n-max", "n_max"), ("--samples", "samples")):
+    for flag, param in (("--n-max", "n_max"), ("--samples", "samples"), ("--seed", "seed")):
         line = next(ln for ln in lines if ln.lstrip().startswith(flag))
         named = {s for s in SUITES if re.search(rf"\b{s}\b", line)}
         readers = {s for s, fn in SUITES.items() if param in inspect.signature(fn).parameters}

@@ -7,20 +7,19 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import oracles
 import pytest
 
 from covernum import verify
 from covernum.covers import hypercube_direction_cover
 from covernum.verify import (
-    DEFAULT_SEED,
+    CHIBOUND_CLASSES,
     SUITES,
     corpus_graphs,
     run_suite,
-    suite_arithmetic,
     suite_chain,
-    suite_far3,
-    suite_hhm,
-    suite_hypercube,
+    suite_chibound,
+    suite_gaps,
     suite_inclusion,
 )
 
@@ -36,6 +35,18 @@ def test_corpus_counts():
     got = corpus_graphs(6, 10, 1)
     assert len(got) == 1110
     assert all(g.n == 6 for g in got[-10:])
+    assert corpus_graphs(0, 0, 1) == corpus_graphs(0, 5, 1) != []
+
+
+def test_corpus_rejects_negative_sizes():
+    # a negative size would check nothing, or fewer graphs than asked, and pass
+    for n_max, samples in ((-1, 0), (6, -3), (-2, -1)):
+        msg = f"^corpus sizes must be >= 0, got n_max {n_max}, samples {samples}$"
+        with pytest.raises(ValueError, match=msg):
+            corpus_graphs(n_max, samples, 1)
+        for name in ("chibound", "chain", "inclusion"):
+            with pytest.raises(ValueError, match=msg):
+                run_suite(name, n_max=n_max, samples=samples)
 
 
 def test_corpus_is_seeded():
@@ -44,53 +55,39 @@ def test_corpus_is_seeded():
 
 
 def test_suite_registry():
-    assert set(SUITES) == {
-        "hhm", "chibound", "chain", "far3", "hypercube", "arithmetic", "inclusion",
-    }
-    with pytest.raises(ValueError):
-        run_suite("nonsense")
+    assert set(SUITES) == {"chibound", "chain", "inclusion", "gaps"}
+    for name in ("nonsense", "hhm", "far3", "hypercube", "arithmetic"):
+        with pytest.raises(ValueError, match=f"^unknown suite '{name}'"):
+            run_suite(name)
 
 
 def test_run_suite_passes_params():
-    report = run_suite("hhm", n_max=3, samples=0, seed=9)
-    assert report["suite"] == "hhm"
-    assert report["params"] == {"n_max": 3, "samples": 0, "seed": 9}
+    report = run_suite("chibound", n_max=3, samples=0, seed=9)
+    assert report["suite"] == "chibound"
+    assert report["params"] == {"n_max": 3, "samples": 0, "seed": 9,
+                                "classes": list(CHIBOUND_CLASSES)}
     assert report["instances"] == 12
     assert report["passed"] is True
 
 
-def test_far3_rejects_corpus_params():
-    # the grid is fixed: neither corpus parameter is read, workers is
-    for params in ({"n_max": 3}, {"samples": 7}, {"n_max": 3, "samples": 7}):
+def test_gaps_rejects_corpus_params():
+    # the families are fixed: no corpus parameter is read, workers is
+    for params in ({"n_max": 3}, {"samples": 7}, {"seed": 5}, {"n_max": 3, "samples": 7}):
         unread = ", ".join(params)
-        with pytest.raises(ValueError, match=f"^suite far3 does not read {unread}$"):
-            run_suite("far3", **params)
-    assert run_suite("far3", seed=DEFAULT_SEED, workers=2) == suite_far3()
-
-
-def test_hypercube_rejects_samples():
-    with pytest.raises(ValueError, match="^suite hypercube does not read samples$"):
-        run_suite("hypercube", n_max=3, samples=7)
-    report = run_suite("hypercube", n_max=3, workers=2)
-    assert report["params"] == {"d_max": 3, "seed": DEFAULT_SEED}
-
-
-def test_arithmetic_rejects_samples():
-    with pytest.raises(ValueError, match="^suite arithmetic does not read samples$"):
-        run_suite("arithmetic", samples=0)
-    report = run_suite("arithmetic", n_max=10, seed=4, workers=2)
-    assert report["params"] == {"d_min": 3, "d_max": 10, "seed": 4}
+        with pytest.raises(ValueError, match=f"^suite gaps does not read {unread}$"):
+            run_suite("gaps", **params)
+    assert run_suite("gaps", workers=2) == suite_gaps()
 
 
 def test_reports_are_deterministic():
-    a = suite_hhm(n_max=4, samples=0)
-    b = suite_hhm(n_max=4, samples=0)
+    a = suite_chibound(n_max=4, samples=0)
+    b = suite_chibound(n_max=4, samples=0)
     assert a == b
 
 
 def test_workers_do_not_change_reports():
-    serial = suite_hhm(n_max=4, samples=0, workers=1)
-    parallel = suite_hhm(n_max=4, samples=0, workers=2)
+    serial = suite_chibound(n_max=4, samples=0, workers=1)
+    parallel = suite_chibound(n_max=4, samples=0, workers=2)
     assert serial == parallel
     serial = suite_inclusion(n_max=4, samples=0, workers=1)
     parallel = suite_inclusion(n_max=4, samples=0, workers=2)
@@ -123,7 +120,7 @@ def test_pool_is_capped_at_items_and_cpus(monkeypatch):
     assert verify._pool_map(abs, list(range(-50, 0)), 2) == list(range(50, 0, -1))
     assert sizes == [3, 4, 2]
     assert verify._pool_map(abs, [-1], 1000) == [1]
-    assert suite_hhm(n_max=4, samples=0, workers=1000) == suite_hhm(n_max=4, samples=0)
+    assert suite_chibound(n_max=4, samples=0, workers=1000) == suite_chibound(n_max=4, samples=0)
     assert sizes == [3, 4, 2, 4]
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
     assert verify._pool_map(abs, [-1, -2, -3], 1000) == [1, 2, 3]
@@ -142,11 +139,14 @@ def test_import_loads_no_process_pool():
 
 
 def test_arithmetic_suite_sweep():
-    report = suite_arithmetic()
+    # gaps' Q_d rows: the counting bound equals d exactly when d >= 8
+    report = suite_gaps()
     assert report["passed"]
-    assert report["instances"] == 60
     assert report["params"]["d_max"] == 62
-    assert _sha256(report) == "72ff0830436e41817d5838d7b009e505215341ac2754c858af0fc32e25e62a4a"
+    bounds = {r["d"]: r["lower_bound"] for r in report["records"] if "lower_bound" in r}
+    assert list(bounds) == list(range(1, 63))
+    assert [bounds[d] for d in range(1, 10)] == [1, 1, 2, 3, 4, 5, 6, 8, 9]
+    assert all(bounds[d] == d for d in range(8, 63))
 
 
 def test_inclusion_suite_default_report():
@@ -156,19 +156,24 @@ def test_inclusion_suite_default_report():
 
 
 def test_hypercube_suite_records():
-    report = suite_hypercube(n_max=4)
+    # gaps' direction covers of Q_1..Q_6 and the Q_3 subgraph bound
+    report = suite_gaps()
     assert report["passed"]
     by_d = {r["d"]: r for r in report["records"] if "parts" in r}
+    assert sorted(by_d) == [1, 2, 3, 4, 5, 6]
     assert by_d[4]["parts"] == 4
     assert by_d[4]["part_sizes"] == [8, 8, 8, 8]
+    assert all(r["valid"] for r in by_d.values())
     bound_rec = [r for r in report["records"] if "max_unipolar_edges" in r]
     assert bound_rec == [{"d": 3, "max_unipolar_edges": 8, "bound": 8}]
 
 
 def test_far3_suite_asserts_powers_of_two():
-    report = suite_far3()
+    # gaps' rows for k disjoint K_l
+    report = suite_gaps()
     assert report["passed"]
-    recs = {(r["k"], r["l"]): r for r in report["records"]}
+    recs = {(r["k"], r["l"]): r for r in report["records"] if "k" in r}
+    assert sorted(recs) == sorted(map(tuple, report["params"]["grid"]))
     assert recs[(2, 4)]["computed"] == 2
     assert recs[(2, 4)]["asserted"] is True
     assert recs[(1, 4)]["computed"] == 1
@@ -176,7 +181,6 @@ def test_far3_suite_asserts_powers_of_two():
         assert r["asserted"] == (l & (l - 1) == 0)
         if not r["asserted"]:
             assert r["expected"] is None
-    assert _sha256(report) == "73c229f8a79a7a142004922f525bd7d7c588d34a260d90e0a3fd0156c60b3514"
 
 
 def test_chain_suite_small():
@@ -187,7 +191,7 @@ def test_chain_suite_small():
 
 def test_failure_reports_carry_instances():
     # a passing run: no failures, and the report's keys
-    report = suite_hhm(n_max=3, samples=0)
+    report = suite_chibound(n_max=3, samples=0)
     assert report["failures"] == []
     assert report["failures_total"] == 0
     assert set(report) == {
@@ -208,33 +212,33 @@ def _doubled_direction_cover(d):
 
 CORPUS_RECORD = ("graph", "class", "chi", "omega", "expected", "computed")
 
-# suite, its parameters, the verify names patched to answer wrongly, then
-# failures_total and the keys of every failure record
+# case id, suite, its parameters, the verify names patched to answer
+# wrongly, then failures_total and the keys of every failure record; the
+# gaps cases are named for the rows their fault breaks
 WRONG_ANSWERS = [
-    ("hhm", {"n_max": 3, "samples": 0}, {"sweep_cover_number": _answering(lambda t: 7)},
-     12, [CORPUS_RECORD]),
-    ("chibound", {"n_max": 3, "samples": 0}, {"sweep_cover_number": _answering(lambda t: 7)},
-     48, [CORPUS_RECORD]),
+    ("chibound", "chibound", {"n_max": 3, "samples": 0},
+     {"sweep_cover_number": _answering(lambda t: 7)}, 60, [CORPUS_RECORD]),
     # chi-eq-omega above perfect breaks the order, and both ends miss
-    ("chain", {"n_max": 3, "samples": 0},
+    ("chain", "chain", {"n_max": 3, "samples": 0},
      {"sweep_cover_number": _answering(lambda t: {"chi-eq-omega": 3, "bipartite": 5}.get(t, 2))},
      36, [("graph", "kind", "values"), ("graph", "kind", "expected", "computed")]),
-    ("far3", {}, {"sweep_cover_number": _answering(lambda t: 0)},
+    ("far3", "gaps", {}, {"sweep_cover_number": _answering(lambda t: 0)},
      10, [("k", "l", "expected", "computed")]),
-    ("hypercube", {"n_max": 3},
+    ("hypercube", "gaps", {},
      {"hypercube_direction_cover": _doubled_direction_cover,
       "max_class_subgraph_size": lambda g, spec: 0},
-     4, [("d", "parts", "part_sizes"), ("d", "max_unipolar_edges", "bound")]),
-    ("arithmetic", {"n_max": 8}, {"hypercube_lower_bound": lambda d: d + 1},
-     6, [("d", "lower_bound")]),
+     7, [("d", "parts", "part_sizes"), ("d", "max_unipolar_edges", "bound")]),
+    ("arithmetic", "gaps", {}, {"hypercube_lower_bound": lambda d: d + 1},
+     60, [("d", "lower_bound")]),
     # perfect needs more parts than gsp, its subclass
-    ("inclusion", {"n_max": 3, "samples": 0},
+    ("inclusion", "inclusion", {"n_max": 3, "samples": 0},
      {"sweep_cover_number": _answering(lambda t: int(t == "perfect"))},
      12, [("graph", "subclass", "superclass", "subclass_value", "superclass_value")]),
 ]
 
 
-@pytest.mark.parametrize("name, params, patches, total, keys", WRONG_ANSWERS,
+@pytest.mark.parametrize("name, params, patches, total, keys",
+                         [case[1:] for case in WRONG_ANSWERS],
                          ids=[case[0] for case in WRONG_ANSWERS])
 def test_suites_report_wrong_answers(monkeypatch, name, params, patches, total, keys):
     for attr, fake in patches.items():
@@ -246,11 +250,52 @@ def test_suites_report_wrong_answers(monkeypatch, name, params, patches, total, 
     assert {tuple(f) for f in report["failures"]} == set(keys)
 
 
+# fault name, the names patched in verify and in the oracles, then the
+# failures_total the gaps suite reports under it
+MERGE_FAULTS = [
+    ("none", {}, 0),
+    ("sweep-0", {"sweep_cover_number": _answering(lambda t: 0)}, 10),
+    ("sweep-7", {"sweep_cover_number": _answering(lambda t: 7)}, 10),
+    ("cover", {"hypercube_direction_cover": _doubled_direction_cover,
+               "max_class_subgraph_size": lambda g, spec: 0}, 7),
+    ("bound", {"hypercube_lower_bound": lambda d: d + 1}, 60),
+]
+
+
+@pytest.mark.parametrize("patches, gaps_total", [case[1:] for case in MERGE_FAULTS],
+                         ids=[case[0] for case in MERGE_FAULTS])
+def test_merged_suites_keep_every_assertion(monkeypatch, patches, gaps_total):
+    # chibound's bipartite row and the gaps suite against the four suites
+    # they replaced, at default parameters; failure lists are compared whole
+    for attr, fake in patches.items():
+        monkeypatch.setattr(verify, attr, fake)
+        monkeypatch.setattr(oracles, attr, fake)
+    monkeypatch.setattr(verify, "MAX_FAILURES_KEPT", 10 ** 6)
+    hhm = oracles.suite_hhm()
+    chibound = suite_chibound()
+    assert chibound["params"] == {**hhm["params"], "classes": list(CHIBOUND_CLASSES)}
+    assert chibound["instances"] == hhm["instances"]
+    assert [f for f in chibound["failures"] if f["class"] == "bipartite"] == hhm["failures"]
+    assert hhm["passed"] == ("sweep_cover_number" not in patches)
+
+    far3 = oracles.suite_far3()
+    cube = oracles.suite_hypercube(n_max=6)
+    arith = oracles.suite_arithmetic(n_max=62)
+    gaps = suite_gaps()
+    covers = {r["d"]: r for r in cube["records"] if "parts" in r}
+    q3 = [r for r in cube["records"] if "max_unipolar_edges" in r]
+    rows = [{"d": d, "lower_bound": verify.hypercube_lower_bound(d), **covers.get(d, {})}
+            for d in range(1, 63)]
+    assert gaps["records"] == far3["records"] + rows + q3
+    assert gaps["failures"] == far3["failures"] + cube["failures"] + arith["failures"]
+    assert gaps["failures_total"] == gaps_total
+    assert gaps["instances"] == far3["instances"] + 62 + len(q3)
+
+
 def test_cross_checks_sweep_instead_of_reading_the_formulas(monkeypatch):
     import covernum.covers
     import covernum.solver
     import covernum.verify
-    from covernum.verify import suite_chibound
 
     calls = {"sweep": 0, "formula": 0}
     sweep = covernum.verify.sweep_cover_number
