@@ -70,13 +70,32 @@ def test_run_suite_passes_params():
     assert report["passed"] is True
 
 
-def test_gaps_rejects_corpus_params():
-    # the families are fixed: no corpus parameter is read, workers is
+def test_far3_rejects_corpus_params():
+    # gaps holds far3's fixed grid: no corpus parameter is read, workers is
     for params in ({"n_max": 3}, {"samples": 7}, {"seed": 5}, {"n_max": 3, "samples": 7}):
         unread = ", ".join(params)
         with pytest.raises(ValueError, match=f"^suite gaps does not read {unread}$"):
             run_suite("gaps", **params)
     assert run_suite("gaps", workers=2) == suite_gaps()
+
+
+def test_hypercube_rejects_samples():
+    # gaps' direction covers stop at Q_6 whatever n_max, once hypercube's d_max, says
+    with pytest.raises(ValueError, match="^suite gaps does not read n_max, samples$"):
+        run_suite("gaps", n_max=3, samples=7)
+    report = run_suite("gaps", workers=2)
+    assert max(r["d"] for r in report["records"] if "parts" in r) == 6
+
+
+def test_arithmetic_rejects_samples():
+    # gaps' Q_d rows run to 62 whatever n_max, once arithmetic's d_max, says
+    with pytest.raises(ValueError, match="^suite gaps does not read samples$"):
+        run_suite("gaps", samples=0)
+    with pytest.raises(ValueError, match="^suite gaps does not read n_max$"):
+        run_suite("gaps", n_max=10)
+    report = run_suite("gaps", workers=2)
+    assert report["params"]["d_max"] == 62
+    assert max(r["d"] for r in report["records"] if "lower_bound" in r) == 62
 
 
 def test_reports_are_deterministic():
@@ -210,12 +229,22 @@ def _doubled_direction_cover(d):
     return dataclasses.replace(cert, parts=cert.parts * 2)
 
 
+def _answering_for(text, value):
+    """A sweep_cover_number that answers value for class `text` only."""
+    sweep = verify.sweep_cover_number
+    return lambda g, spec: (SimpleNamespace(value=value) if str(spec) == text
+                            else sweep(g, spec))
+
+
 CORPUS_RECORD = ("graph", "class", "chi", "omega", "expected", "computed")
 
 # case id, suite, its parameters, the verify names patched to answer
 # wrongly, then failures_total and the keys of every failure record; the
 # gaps cases are named for the rows their fault breaks
 WRONG_ANSWERS = [
+    # hhm's check is chibound's bipartite row: only it answers wrongly
+    ("hhm", "chibound", {"n_max": 3, "samples": 0},
+     {"sweep_cover_number": _answering_for("bipartite", 7)}, 12, [CORPUS_RECORD]),
     ("chibound", "chibound", {"n_max": 3, "samples": 0},
      {"sweep_cover_number": _answering(lambda t: 7)}, 60, [CORPUS_RECORD]),
     # chi-eq-omega above perfect breaks the order, and both ends miss
