@@ -129,19 +129,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    threads = os.environ.get("COVERNUM_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise ValueError(f"COVERNUM_THREADS must be an integer, got {threads!r}") from None
     start = time.monotonic()
-    report = run_suite(
-        args.suite,
-        n_max=args.n_max,
-        samples=args.samples,
-        seed=args.seed,
-        workers=workers,
-    )
+    report = run_suite(args.suite, n_max=args.n_max, samples=args.samples, seed=args.seed)
     elapsed = time.monotonic() - start
     _emit(report)
     # stdout stays deterministic for golden files; timing goes to stderr

@@ -28,6 +28,7 @@ maximal members inside a host for the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graphs import (
@@ -50,7 +51,6 @@ from .invariants import (
     check_clique,
     clique_number,
     dsatur_search,
-    k_colorable_rows,
     omega_of_rows,
 )
 from .structural import (
@@ -61,6 +61,9 @@ from .structural import (
     unipolar_family,
     unipolar_work,
 )
+
+# Unused here: bench/tracing.py hooks this name on this module.
+from .invariants import k_colorable_rows  # noqa: F401
 
 # is_perfect near the cap, on perfect hosts that are neither bipartite nor
 # co-bipartite, so that both odd-hole scans run (2-vCPU Intel Xeon, Python
@@ -373,23 +376,29 @@ def is_chi_le_f(g: Graph, f: FSpec) -> Optional[Tuple[Coloring, CliqueWitness, i
     (invariants._color_components), and on a host searched whole it goes
     on from the greedy coloring instead of starting over.
     """
-    coloring, clique, fw = _chi_le_f(g, f)
+    coloring, clique, fw = _chi_le_f(g.n, g.rows, f, partial(clique_number, g))
     return None if coloring is None else (coloring, clique, fw)
 
 
-def _chi_le_f(g: Graph, f: FSpec) -> Tuple[Optional[Coloring], CliqueWitness, int]:
-    """is_chi_le_f, with the clique and f(omega) also where the coloring
-    is None."""
-    if g.n == 0:
-        return Coloring((), 0), CliqueWitness((), 0), 0
-    search = dsatur_search(g.n, g.rows, g.n)
+def _chi_le_f(n: int, rows: Sequence[int], f: FSpec,
+              clique_of: Callable[[int], Tuple[int, Optional[CliqueWitness]]]
+              ) -> Tuple[Optional[Coloring], Optional[CliqueWitness], int]:
+    """The one {chi <= f(omega)} search, over raw rows: is_chi_le_f, with
+    the clique and f(omega) also where the coloring is None.
+    clique_of(top) is (omega, clique) from a clique search that may stop
+    at top: clique_number for a witness, which reports the clique, and
+    omega alone for membership.  Nothing keeps rows after a call returns:
+    the subset sweep reuses its list."""
+    if n == 0:
+        return Coloring((), 0), clique_of(0)[1], 0
+    search = dsatur_search(n, rows, n)
     greedy = next(search)
     top = max(greedy) + 1
-    w, clique = clique_number(g, top)
+    w, clique = clique_of(top)
     fw = f(w)
     if top <= fw:
         return Coloring(tuple(greedy), top), clique, fw
-    return _color_components(g.n, g.rows, fw, search), clique, fw
+    return _color_components(n, rows, fw, search), clique, fw
 
 
 def _grow_hole(rows: Sequence[int], tip: int, size: int, path: int, free: int, ends: int,
@@ -520,13 +529,6 @@ def _member_gsp_rows(n: int, rows: Sequence[int]) -> bool:
     return _member_unipolar_rows(n, rows) or _member_co_unipolar_rows(n, rows)
 
 
-def _member_chi_le_f_rows(n: int, rows: Sequence[int], f: FSpec) -> bool:
-    if n == 0:
-        return True
-    fw = f(omega_of_rows(n, rows))
-    return fw >= n or k_colorable_rows(n, rows, fw) is not None
-
-
 # --- per-class witness bodies and their checkers ---
 
 def _ints(x: object) -> bool:
@@ -555,7 +557,7 @@ def _chi_le_member(spec: ClassSpec) -> MemberFn:
     k = spec.k
     if k == 2:  # the bipartite class: one frontier walk, not a colouring search
         return _member_bipartite_rows
-    return lambda n, rows: k_colorable_rows(n, rows, k) is not None
+    return lambda n, rows: _color_components(n, rows, k) is not None
 
 
 def _chi_le_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
@@ -661,7 +663,8 @@ class ClassEntry:
     """Everything the package needs to know about one class.
 
     member(spec) is membership over raw adjacency rows (n, rows), for tight
-    loops; witness(g, spec) is a JSON-ready witness body or None;
+    loops; a colouring class's runs its witness's search without building
+    the body.  witness(g, spec) is a JSON-ready witness body or None;
     check(g, spec, body) validates a witness body independently.  A
     colouring class declares f(spec), the non-decreasing function that
     defines it as {chi <= f(omega)}; its colour bound, partition route,
@@ -702,7 +705,8 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
 
     def member(spec: ClassSpec) -> MemberFn:
         f = f_of(spec)
-        return lambda n, rows: _member_chi_le_f_rows(n, rows, f)
+        return lambda n, rows: _chi_le_f(
+            n, rows, f, lambda top: (omega_of_rows(n, rows, top), None))[0] is not None
 
     def body(colors: List[int], clique: List[int], fw: int) -> Dict:
         out = {"coloring": colors, "clique": clique}
@@ -711,7 +715,7 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
         return out
 
     def clique_witness(g: Graph, spec: ClassSpec) -> Tuple[Optional[Dict], CliqueWitness]:
-        coloring, clique, fw = _chi_le_f(g, f_of(spec))
+        coloring, clique, fw = _chi_le_f(g.n, g.rows, f_of(spec), partial(clique_number, g))
         if coloring is None:
             return None, clique
         return body(list(coloring.colors), list(clique.vertices), fw), clique

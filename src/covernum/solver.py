@@ -71,10 +71,11 @@ at the subset sweep's 2^m, exact up to it and only known to be larger
 past it, so it costs O(2^m) at most and a structural route still wins
 exactly when its work is at most 2^m.  The generators agree (tested).
 
-The sweeps test membership without witnesses (membership_fn); a swept
-cover's certificate comes from covers.witnessed_cover, which witnesses
-each part.  `max_class_subgraph_size` asks a class's family for best
-where it declares one (unipolar), instead of building the family.
+The sweeps test membership with membership_fn, the class's witness
+search without the witness body; a swept cover's certificate comes from
+covers.witnessed_cover, which witnesses each part.
+`max_class_subgraph_size` asks a class's family for best where it
+declares one (unipolar), instead of building the family.
 """
 
 from __future__ import annotations

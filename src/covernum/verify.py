@@ -13,8 +13,6 @@ failures out, no timestamps.
 from __future__ import annotations
 
 import inspect
-import os
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .covers import (
@@ -49,24 +47,6 @@ def corpus_graphs(n_max: int, samples: int, seed: int) -> List[Graph]:
     return out
 
 
-def _pool_map(fn: Callable, items: Sequence, workers: int) -> List:
-    """[fn(x) for x in items], spread over at most `workers` processes.
-
-    The pool never outnumbers the items or the CPUs: under the fork start
-    method a pool starts all its workers at the first submit.  The pool
-    machinery (multiprocessing, logging) is imported only here, so a
-    serial run never loads it.
-    """
-    workers = min(workers, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(items) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items, chunksize=chunk))
-
-
 def _report(suite: str, params: Dict, instances: int, failures: List[Dict],
             extra: Optional[Dict] = None) -> Dict:
     out = {
@@ -83,11 +63,11 @@ def _report(suite: str, params: Dict, instances: int, failures: List[Dict],
 
 
 def _corpus_suite(name: str, check: Callable[[str], List[Dict]], n_max: int, samples: int,
-                  seed: int, workers: int, **params) -> Dict:
+                  seed: int, **params) -> Dict:
     """Run check on every corpus graph, as graph6, and report its failures;
     params are reported after the corpus parameters."""
     graphs = [emit_graph6(g) for g in corpus_graphs(n_max, samples, seed)]
-    failures = [f for fs in _pool_map(check, graphs, workers) for f in fs]
+    failures = [f for g6 in graphs for f in check(g6)]
     params = {"n_max": n_max, "samples": samples, "seed": seed, **params}
     return _report(name, params, len(graphs), failures)
 
@@ -110,13 +90,11 @@ def _chibound_failures(g6: str, class_texts: Sequence[str]) -> List[Dict]:
     return out
 
 
-def suite_chibound(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED,
-                   workers: int = 1) -> Dict:
+def suite_chibound(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED) -> Dict:
     """Oracle covers for coloring-bounded classes against ceil-log formulas;
     the bipartite row is Harary, Hsu and Miller's ceil(log2 chi)."""
-    check = partial(_chibound_failures, class_texts=CHIBOUND_CLASSES)
-    return _corpus_suite("chibound", check, n_max, samples, seed, workers,
-                         classes=list(CHIBOUND_CLASSES))
+    return _corpus_suite("chibound", lambda g6: _chibound_failures(g6, CHIBOUND_CLASSES),
+                         n_max, samples, seed, classes=list(CHIBOUND_CLASSES))
 
 
 CHAIN_SPECS = ("chi-eq-omega", "perfect", "gsp", "co-unipolar", "bipartite")
@@ -141,10 +119,9 @@ def _chain_failures(g6: str) -> List[Dict]:
     return out
 
 
-def suite_chain(n_max: int = 6, samples: int = 100, seed: int = DEFAULT_SEED,
-                workers: int = 1) -> Dict:
+def suite_chain(n_max: int = 6, samples: int = 100, seed: int = DEFAULT_SEED) -> Dict:
     """Five cover numbers in their sandwich order, ends pinned to formulas."""
-    return _corpus_suite("chain", _chain_failures, n_max, samples, seed, workers,
+    return _corpus_suite("chain", _chain_failures, n_max, samples, seed,
                          classes=list(CHAIN_SPECS))
 
 
@@ -158,8 +135,8 @@ def _far3_grid() -> List[tuple]:
     return grid
 
 
-def suite_gaps(workers: int = 1) -> Dict:
-    """Fixed-family gap checks, run serially whatever `workers` says.
+def suite_gaps() -> Dict:
+    """Fixed-family gap checks.
 
     - k disjoint K_l on a fixed grid: the co-unipolar cover number is
       min(k, log2 l), asserted only when l is a power of two; other l are
@@ -230,10 +207,9 @@ def _inclusion_failures(g6: str) -> List[Dict]:
     return out
 
 
-def suite_inclusion(n_max: int = 5, samples: int = 25, seed: int = DEFAULT_SEED,
-                    workers: int = 1) -> Dict:
+def suite_inclusion(n_max: int = 5, samples: int = 25, seed: int = DEFAULT_SEED) -> Dict:
     """Smaller class, no cheaper cover: c_P >= c_Q whenever P is inside Q."""
-    return _corpus_suite("inclusion", _inclusion_failures, n_max, samples, seed, workers,
+    return _corpus_suite("inclusion", _inclusion_failures, n_max, samples, seed,
                          pairs=[list(p) for p in INCLUSION_PAIRS])
 
 
@@ -246,9 +222,9 @@ SUITES: Dict[str, Callable[..., Dict]] = {
 
 
 def run_suite(name: str, n_max: Optional[int] = None, samples: Optional[int] = None,
-              seed: Optional[int] = None, workers: int = 1) -> Dict:
-    """Run suite `name`; a parameter given (not None) that the suite does
-    not read raises ValueError.  Every suite takes `workers`."""
+              seed: Optional[int] = None) -> Dict:
+    """Run suite `name` serially; a parameter given (not None) that the
+    suite does not read raises ValueError."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, have {', '.join(sorted(SUITES))}")
     fn = SUITES[name]
@@ -257,4 +233,4 @@ def run_suite(name: str, n_max: Optional[int] = None, samples: Optional[int] = N
     unread = [k for k in kwargs if k not in inspect.signature(fn).parameters]
     if unread:
         raise ValueError(f"suite {name} does not read {', '.join(unread)}")
-    return fn(**kwargs, workers=workers)
+    return fn(**kwargs)

@@ -950,7 +950,7 @@ def suite_hhm(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED,
     """Oracle minimum bipartite covers against ceil(log2 chi): the chibound
     check at f = 2."""
     check = partial(_chibound_failures, class_texts=("bipartite",))
-    return _corpus_suite("hhm", check, n_max, samples, seed, workers)
+    return _corpus_suite("hhm", check, n_max, samples, seed)
 
 
 def suite_far3(seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:

@@ -409,13 +409,6 @@ def test_cover_and_solve_agree_where_no_member_covers_an_edge(capsys, tmp_path):
                 assert run(capsys, command, "--class", cls, path) == (2, "", msg)
 
 
-def test_verify_rejects_a_non_integer_thread_count(capsys, monkeypatch):
-    monkeypatch.setenv("COVERNUM_THREADS", "two")
-    code, out, err = run(capsys, "verify", "chibound")
-    assert (code, out) == (2, "")
-    assert err == "error: COVERNUM_THREADS must be an integer, got 'two'\n"
-
-
 def test_help_lists_every_class_and_suite(capsys, monkeypatch):
     from covernum.recognizers import CLASSES
     from covernum.verify import SUITES

@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -71,19 +70,19 @@ def test_run_suite_passes_params():
 
 
 def test_far3_rejects_corpus_params():
-    # gaps holds far3's fixed grid: no corpus parameter is read, workers is
+    # gaps holds far3's fixed grid: no corpus parameter is read
     for params in ({"n_max": 3}, {"samples": 7}, {"seed": 5}, {"n_max": 3, "samples": 7}):
         unread = ", ".join(params)
         with pytest.raises(ValueError, match=f"^suite gaps does not read {unread}$"):
             run_suite("gaps", **params)
-    assert run_suite("gaps", workers=2) == suite_gaps()
+    assert run_suite("gaps") == suite_gaps()
 
 
 def test_hypercube_rejects_samples():
     # gaps' direction covers stop at Q_6 whatever n_max, once hypercube's d_max, says
     with pytest.raises(ValueError, match="^suite gaps does not read n_max, samples$"):
         run_suite("gaps", n_max=3, samples=7)
-    report = run_suite("gaps", workers=2)
+    report = run_suite("gaps")
     assert max(r["d"] for r in report["records"] if "parts" in r) == 6
 
 
@@ -93,7 +92,7 @@ def test_arithmetic_rejects_samples():
         run_suite("gaps", samples=0)
     with pytest.raises(ValueError, match="^suite gaps does not read n_max$"):
         run_suite("gaps", n_max=10)
-    report = run_suite("gaps", workers=2)
+    report = run_suite("gaps")
     assert report["params"]["d_max"] == 62
     assert max(r["d"] for r in report["records"] if "lower_bound" in r) == 62
 
@@ -102,48 +101,6 @@ def test_reports_are_deterministic():
     a = suite_chibound(n_max=4, samples=0)
     b = suite_chibound(n_max=4, samples=0)
     assert a == b
-
-
-def test_workers_do_not_change_reports():
-    serial = suite_chibound(n_max=4, samples=0, workers=1)
-    parallel = suite_chibound(n_max=4, samples=0, workers=2)
-    assert serial == parallel
-    serial = suite_inclusion(n_max=4, samples=0, workers=1)
-    parallel = suite_inclusion(n_max=4, samples=0, workers=2)
-    assert serial == parallel
-
-
-def test_pool_is_capped_at_items_and_cpus(monkeypatch):
-    # A stand-in pool that records its size and maps in this process, so
-    # no worker process is ever started.
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            return list(map(fn, items))
-
-    # _pool_map imports the pool class at call time, from here
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
-    assert verify._pool_map(abs, [-1, -2, -3], 1000) == [1, 2, 3]
-    assert verify._pool_map(abs, list(range(-50, 0)), 1000) == list(range(50, 0, -1))
-    assert verify._pool_map(abs, list(range(-50, 0)), 2) == list(range(50, 0, -1))
-    assert sizes == [3, 4, 2]
-    assert verify._pool_map(abs, [-1], 1000) == [1]
-    assert suite_chibound(n_max=4, samples=0, workers=1000) == suite_chibound(n_max=4, samples=0)
-    assert sizes == [3, 4, 2, 4]
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-    assert verify._pool_map(abs, [-1, -2, -3], 1000) == [1, 2, 3]
-    assert sizes == [3, 4, 2, 4]
 
 
 def test_import_loads_no_process_pool():
