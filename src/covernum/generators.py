@@ -21,19 +21,22 @@ from .graphs import (
 
 
 def complete(n: int) -> Graph:
-    return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    # a generator, so make_graph's capacity check runs before any edge is built
+    return make_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    return make_graph(n, [(v, (v + 1) % n) for v in range(n)])
+    return make_graph(n, ((v, (v + 1) % n) for v in range(n)))
 
 
 def complete_multipartite(parts: Sequence[int]) -> Graph:
     if any(p < 1 for p in parts):
         raise ValueError("every part must have at least one vertex")
     n = sum(parts)
+    if n > MAX_VERTICES:
+        raise CapacityError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     owner = []
     for i, p in enumerate(parts):
         owner.extend([i] * p)
@@ -103,6 +106,9 @@ def far_graph(k: int, l: int) -> Graph:
         raise ValueError("far graph needs k >= 1")
     if l < k:
         raise ValueError("far graph needs l >= k")
+    if l > 2:
+        # 2^l colours must stay within triangle_free_chromatic's 2..6
+        raise ValueError(f"far graph needs l <= 2, got {l}")
     z = triangle_free_chromatic(2 ** l)
     kk = complete(2 ** l)
     r = triangle_free_chromatic(2 ** k)

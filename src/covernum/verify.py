@@ -23,7 +23,7 @@ from .covers import (
     hypercube_lower_bound,
     unipolar_subgraph_bound,
 )
-from .formats import emit_graph6, parse_graph6
+from .formats import emit_graph6
 from .generators import all_graphs, hypercube, kKl, random_graphs
 from .graphs import Graph
 from .invariants import ceil_log, chromatic_number, clique_number
@@ -31,8 +31,6 @@ from .recognizers import ClassSpec, class_f, identity_f, parse_class_spec
 from .solver import max_class_subgraph_size, sweep_cover_number
 
 DEFAULT_SEED = 20260816
-
-MAX_FAILURES_KEPT = 25
 
 
 def corpus_graphs(n_max: int, samples: int, seed: int) -> List[Graph]:
@@ -53,7 +51,7 @@ def _report(suite: str, params: Dict, instances: int, failures: List[Dict],
         "suite": suite,
         "params": params,
         "instances": instances,
-        "failures": failures[:MAX_FAILURES_KEPT],
+        "failures": failures,
         "failures_total": len(failures),
         "passed": not failures,
     }
@@ -62,12 +60,12 @@ def _report(suite: str, params: Dict, instances: int, failures: List[Dict],
     return out
 
 
-def _corpus_suite(name: str, check: Callable[[str], List[Dict]], n_max: int, samples: int,
+def _corpus_suite(name: str, check: Callable[[Graph], List[Dict]], n_max: int, samples: int,
                   seed: int, **params) -> Dict:
-    """Run check on every corpus graph, as graph6, and report its failures;
-    params are reported after the corpus parameters."""
-    graphs = [emit_graph6(g) for g in corpus_graphs(n_max, samples, seed)]
-    failures = [f for g6 in graphs for f in check(g6)]
+    """Run check on every corpus graph and report its failures; params are
+    reported after the corpus parameters."""
+    graphs = corpus_graphs(n_max, samples, seed)
+    failures = [f for g in graphs for f in check(g)]
     params = {"n_max": n_max, "samples": samples, "seed": seed, **params}
     return _report(name, params, len(graphs), failures)
 
@@ -75,8 +73,7 @@ def _corpus_suite(name: str, check: Callable[[str], List[Dict]], n_max: int, sam
 CHIBOUND_CLASSES = ("bipartite", "chi-le:2", "chi-le:3", "chi-le-f:identity", "chi-le-f:plus:1")
 
 
-def _chibound_failures(g6: str, class_texts: Sequence[str]) -> List[Dict]:
-    g = parse_graph6(g6)
+def _chibound_failures(g: Graph, class_texts: Sequence[str]) -> List[Dict]:
     chi, _ = chromatic_number(g)
     omega, _ = clique_number(g)
     out = []
@@ -85,7 +82,7 @@ def _chibound_failures(g6: str, class_texts: Sequence[str]) -> List[Dict]:
         expected = formula_chibound(chi, omega, class_f(spec))
         got = sweep_cover_number(g, spec).value
         if got != expected:
-            out.append({"graph": g6, "class": text, "chi": chi, "omega": omega,
+            out.append({"graph": emit_graph6(g), "class": text, "chi": chi, "omega": omega,
                         "expected": expected, "computed": got})
     return out
 
@@ -93,30 +90,27 @@ def _chibound_failures(g6: str, class_texts: Sequence[str]) -> List[Dict]:
 def suite_chibound(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED) -> Dict:
     """Oracle covers for coloring-bounded classes against ceil-log formulas;
     the bipartite row is Harary, Hsu and Miller's ceil(log2 chi)."""
-    return _corpus_suite("chibound", lambda g6: _chibound_failures(g6, CHIBOUND_CLASSES),
+    return _corpus_suite("chibound", lambda g: _chibound_failures(g, CHIBOUND_CLASSES),
                          n_max, samples, seed, classes=list(CHIBOUND_CLASSES))
 
 
 CHAIN_SPECS = ("chi-eq-omega", "perfect", "gsp", "co-unipolar", "bipartite")
 
 
-def _chain_failures(g6: str) -> List[Dict]:
-    g = parse_graph6(g6)
+def _chain_failures(g: Graph) -> List[Dict]:
     chi, _ = chromatic_number(g)
     omega, _ = clique_number(g)
     values = [sweep_cover_number(g, parse_class_spec(t)).value for t in CHAIN_SPECS]
     out = []
-    for a, b in zip(values, values[1:]):
-        if a > b:
-            out.append({"graph": g6, "kind": "order", "values": values})
-            break
+    if any(a > b for a, b in zip(values, values[1:])):
+        out.append({"kind": "order", "values": values})
     lo = formula_chibound(chi, omega, identity_f())
     hi = formula_biparticity(chi)
     if values[0] != lo:
-        out.append({"graph": g6, "kind": "low-end", "expected": lo, "computed": values[0]})
+        out.append({"kind": "low-end", "expected": lo, "computed": values[0]})
     if values[-1] != hi:
-        out.append({"graph": g6, "kind": "high-end", "expected": hi, "computed": values[-1]})
-    return out
+        out.append({"kind": "high-end", "expected": hi, "computed": values[-1]})
+    return [{"graph": emit_graph6(g), **f} for f in out]
 
 
 def suite_chain(n_max: int = 6, samples: int = 100, seed: int = DEFAULT_SEED) -> Dict:
@@ -194,14 +188,13 @@ INCLUSION_PAIRS = (
 )
 
 
-def _inclusion_failures(g6: str) -> List[Dict]:
-    g = parse_graph6(g6)
+def _inclusion_failures(g: Graph) -> List[Dict]:
     needed = sorted({t for pair in INCLUSION_PAIRS for t in pair})
     values = {t: sweep_cover_number(g, parse_class_spec(t)).value for t in needed}
     out = []
     for small, large in INCLUSION_PAIRS:
         if values[small] < values[large]:
-            out.append({"graph": g6, "subclass": small, "superclass": large,
+            out.append({"graph": emit_graph6(g), "subclass": small, "superclass": large,
                         "subclass_value": values[small],
                         "superclass_value": values[large]})
     return out

@@ -945,17 +945,15 @@ def planted_unipolar_hosts(seed: int, count: int, n_min: int = 24, n_max: int = 
     return hosts
 
 
-def suite_hhm(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED,
-              workers: int = 1) -> Dict:
+def suite_hhm(n_max: int = 7, samples: int = 200, seed: int = DEFAULT_SEED) -> Dict:
     """Oracle minimum bipartite covers against ceil(log2 chi): the chibound
     check at f = 2."""
     check = partial(_chibound_failures, class_texts=("bipartite",))
     return _corpus_suite("hhm", check, n_max, samples, seed)
 
 
-def suite_far3(seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
-    """Co-unipolar cover numbers of k disjoint K_l on a fixed grid, run
-    serially whatever `workers` says.
+def suite_far3(seed: int = DEFAULT_SEED) -> Dict:
+    """Co-unipolar cover numbers of k disjoint K_l on a fixed grid.
 
     The closed form min(k, log2 l) is asserted only when l is a power of
     two; other l are swept and recorded without assertion.
@@ -976,9 +974,8 @@ def suite_far3(seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
     return _report("far3", params, len(records), failures, {"records": records})
 
 
-def suite_hypercube(n_max: int = 6, seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
-    """Direction covers of Q_d, plus the Q_3 max unipolar subgraph size;
-    serial whatever `workers` says."""
+def suite_hypercube(n_max: int = 6, seed: int = DEFAULT_SEED) -> Dict:
+    """Direction covers of Q_d, plus the Q_3 max unipolar subgraph size."""
     d_max = min(n_max if n_max >= 1 else 6, 6)
     failures = []
     records = []
@@ -1007,9 +1004,8 @@ def suite_hypercube(n_max: int = 6, seed: int = DEFAULT_SEED, workers: int = 1) 
     return _report("hypercube", params, len(records), failures, {"records": records})
 
 
-def suite_arithmetic(n_max: int = 62, seed: int = DEFAULT_SEED, workers: int = 1) -> Dict:
-    """Integer sweep of the Q_d cover lower bound: equals d iff d >= 8;
-    serial whatever `workers` says."""
+def suite_arithmetic(n_max: int = 62, seed: int = DEFAULT_SEED) -> Dict:
+    """Integer sweep of the Q_d cover lower bound: equals d iff d >= 8."""
     d_max = max(8, min(n_max, 62))
     failures = []
     for d in range(3, d_max + 1):

@@ -44,6 +44,33 @@ def test_gen_capacity(capsys):
     assert "capacity" in err
 
 
+@pytest.mark.parametrize("spec, code, message", [
+    ("cycle:100000000", 3, "capacity: vertex count 100000000 outside 0..64"),
+    ("complete:30000", 3, "capacity: vertex count 30000 outside 0..64"),
+    ("multipartite:100000000", 3, "capacity: vertex count 100000000 outside 0..64"),
+    ("far:1,100000000", 2, "far graph needs l <= 2, got 100000000"),
+], ids=["cycle", "complete", "multipartite", "far"])
+def test_gen_checks_size_before_it_allocates(spec, code, message):
+    # a child under a 2 GB address-space limit: a generator that built its
+    # edges before the size check would die of MemoryError or run on, so
+    # these sizes are never generated in the test process itself
+    import os
+    import subprocess
+    import sys
+
+    import covernum
+
+    src = os.path.dirname(os.path.dirname(covernum.__file__))
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+             f"from covernum.cli import main; sys.exit(main(['gen', {spec!r}]))")
+    proc = subprocess.run([sys.executable, "-S", "-c", child], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                          text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_invariant_k4(capsys, tmp_path):
     path = write_graph(tmp_path, "C~")
     code, data, _ = run_json(capsys, "invariant", path)

@@ -232,7 +232,7 @@ def test_suites_report_wrong_answers(monkeypatch, name, params, patches, total, 
     report = run_suite(name, **params)
     assert report["passed"] is False
     assert report["failures_total"] == total
-    assert len(report["failures"]) == min(total, verify.MAX_FAILURES_KEPT)
+    assert len(report["failures"]) == report["failures_total"]
     assert {tuple(f) for f in report["failures"]} == set(keys)
 
 
@@ -252,15 +252,16 @@ MERGE_FAULTS = [
                          ids=[case[0] for case in MERGE_FAULTS])
 def test_merged_suites_keep_every_assertion(monkeypatch, patches, gaps_total):
     # chibound's bipartite row and the gaps suite against the four suites
-    # they replaced, at default parameters; failure lists are compared whole
+    # they replaced, at default parameters; reports list every failure, so
+    # the lists are compared whole
     for attr, fake in patches.items():
         monkeypatch.setattr(verify, attr, fake)
         monkeypatch.setattr(oracles, attr, fake)
-    monkeypatch.setattr(verify, "MAX_FAILURES_KEPT", 10 ** 6)
     hhm = oracles.suite_hhm()
     chibound = suite_chibound()
     assert chibound["params"] == {**hhm["params"], "classes": list(CHIBOUND_CLASSES)}
     assert chibound["instances"] == hhm["instances"]
+    assert len(chibound["failures"]) == chibound["failures_total"]
     assert [f for f in chibound["failures"] if f["class"] == "bipartite"] == hhm["failures"]
     assert hhm["passed"] == ("sweep_cover_number" not in patches)
 
@@ -274,7 +275,7 @@ def test_merged_suites_keep_every_assertion(monkeypatch, patches, gaps_total):
             for d in range(1, 63)]
     assert gaps["records"] == far3["records"] + rows + q3
     assert gaps["failures"] == far3["failures"] + cube["failures"] + arith["failures"]
-    assert gaps["failures_total"] == gaps_total
+    assert len(gaps["failures"]) == gaps["failures_total"] == gaps_total
     assert gaps["instances"] == far3["instances"] + 62 + len(q3)
 
 
