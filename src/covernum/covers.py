@@ -3,16 +3,19 @@
 A cover of G is a list of spanning subgraphs (as edge sets) whose union
 is E(G) and each of which lies in a fixed class.  For every class
 {chi <= f(omega)} the cover is an exact realization of the ceil-log
-formula: write each color of a proper coloring as a base-f(omega) digit
-string and split edges by the digits where their endpoint strings
-differ.  The coloring need not be optimal: any one whose color count
-needs as many digits as chi does gives the same number of parts, so the
-layout only settles which power-of-base range chi lies in.
+formula: give each color of a proper coloring an integer code, read as
+base-f(omega) digits, and split edges by the digits where their
+endpoint codes differ.  Each part's witness is read off its digits and
+its digit values' vertex masks, with no search.  The coloring need not
+be optimal: any one whose color count needs as many digits as chi does
+gives the same number of parts, so the layout only settles which
+power-of-base range chi lies in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import or_
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -44,13 +47,19 @@ def formula_chibound(chi: int, omega: int, f: Callable[[int], int]) -> int:
     return ceil_log(fo, chi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoverCertificate:
     host: Graph
     spec: ClassSpec
     parts: Tuple[EdgeSet, ...]
     witnesses: Tuple[Dict, ...]
     formula: int
+
+    def __init__(self, host: Graph, spec: ClassSpec, parts: Tuple[EdgeSet, ...],
+                 witnesses: Tuple[Dict, ...], formula: int) -> None:
+        # the instance dict written once, not one frozen setattr per field
+        self.__dict__.update(host=host, spec=spec, parts=parts, witnesses=witnesses,
+                             formula=formula)
 
 
 def certificate_to_json(cert: CoverCertificate) -> Dict:
@@ -109,39 +118,39 @@ def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
     """Cover of g by ceil_log(base, c) parts, c the colouring's count,
     each witnessed for spec from its digits.
 
-    Each colour becomes a string of t base-`base` digits, and part d keeps
-    the edges whose endpoint strings differ in digit d, so digit d colours
-    part d with at most `base` colours.  The colours on `clique` get
-    distinct constant strings, which keeps the clique inside every part;
-    otherwise the strings are the colours' plain digits.  Part d is built
-    as adjacency rows with no loop over edges: row v keeps the neighbours
+    Each colour carries an integer code of t base-`base` digits, and part
+    d keeps the edges whose endpoint codes differ in digit d, so digit d
+    colours part d with at most `base` colours.  The colours on `clique`
+    get the constant codes i * (base**t - 1) // (base - 1), i repeated in
+    every digit, which keeps the clique inside every part; the other
+    colours take the lowest codes left, in colour order, and digit d is
+    code // base**(t-1-d) % base.  Otherwise the code is the colour
+    itself and digit d is code // base**d % base.  Part d is built as
+    adjacency rows with no loop over edges: row v keeps the neighbours
     outside the vertex mask of v's digit value, that mask the union of the
-    colour classes whose strings share it.  The class's registry entry
-    builds part d's witness from digit d and the clique, or the part's
-    lowest edge where there is none (vertex 0 in a part with no edge),
-    with no membership search
-    (recognizers.ClassEntry.digit_witness): base is the layout's f(omega)
-    for a colouring class and 2 for any other.
+    colour classes whose codes share it.  The class's registry entry
+    builds part d's witness from digit d, those digit-value masks and the
+    clique, or the part's lowest edge where there is none (vertex 0 in a
+    part with no edge), found only for a witness that reads it, with no
+    membership search (recognizers.ClassEntry.digit_witness): base is the
+    layout's f(omega) for a colouring class and 2 for any other.
 
     Every part has an edge where t is minimal, ceil_log(base, chi), as in
-    digit_layout's colouring: were part d edgeless, the endpoint strings
-    of every edge would differ in another digit, and the other t - 1
-    digits would colour g with base**(t-1) < chi colours.
+    digit_layout's colouring: were part d edgeless, the endpoint codes of
+    every edge would differ in another digit, and the other t - 1 digits
+    would colour g with base**(t-1) < chi colours.
     """
     count = coloring.count
     if count <= 1:
         return CoverCertificate(g, spec, (), (), 0)
     t = ceil_log(base, count)
+    codes: Sequence[int] = range(count)
     if clique:
-        const = {coloring.colors[v]: (i,) * t for i, v in enumerate(clique)}
+        const = {coloring.colors[v]: i * ((base ** t - 1) // (base - 1))
+                 for i, v in enumerate(clique)}
         taken = set(const.values())
-        # every t-digit string, most significant digit first, in counting order
-        counted = (tuple(c // base ** (t - 1 - d) % base for d in range(t))
-                   for c in range(base ** t))
-        fresh = (s for s in counted if s not in taken)
-        strings = [const[c] if c in const else next(fresh) for c in range(count)]
-    else:
-        strings = [tuple(c // base ** d % base for d in range(t)) for c in range(count)]
+        fresh = (c for c in range(base ** t) if c not in taken)
+        codes = [const[c] if c in const else next(fresh) for c in range(count)]
     colors = coloring.colors
     members = [0] * count  # each colour's vertex mask
     for v, c in enumerate(colors):
@@ -150,17 +159,20 @@ def digit_cover(g: Graph, spec: ClassSpec, coloring: Coloring, base: int,
     label = str(spec)
     parts, wits = [], []
     for d in range(t):
-        digit = [s[d] for s in strings]  # each colour's digit d
-        # the vertices of each digit value, keyed by the digit: the base
-        # may be past any list's length
+        place = base ** (t - 1 - d if clique else d)
+        # each colour's digit d, and the vertices of each digit value, keyed
+        # by the digit: the base may be past any list's length
+        digit = []
         by_digit: Dict[int, int] = {}
-        for k, m in zip(digit, members):
+        for code, m in zip(codes, members):
+            k = code // place % base
+            digit.append(k)
             by_digit[k] = by_digit.get(k, 0) | m
-        apart = [~by_digit[k] for k in digit]  # each colour's other digits
-        rows = tuple([row & apart[c] for row, c in zip(g.rows, colors)])
+        digits = list(map(digit.__getitem__, colors))  # each vertex's digit d
+        rows = tuple([row & ~by_digit[k] for row, k in zip(g.rows, digits)])
         parts.append(_rows_edge_set(g, rows))
-        digits = [digit[c] for c in colors]
-        wits.append({"class": label, **witness(spec, digits, clique or _part_clique(rows))})
+        part_clique = (lambda: clique) if clique else partial(_part_clique, rows)
+        wits.append({"class": label, **witness(spec, digits, by_digit, part_clique)})
     return CoverCertificate(g, spec, tuple(parts), tuple(wits), t)
 
 

@@ -181,8 +181,7 @@ def _derived_graph(n: int, rows: Tuple[int, ...]) -> Graph:
     into disjoint ranges); n is in 0..MAX_VERTICES and rows is a tuple of
     n ints."""
     g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "rows", rows)
+    g.__dict__.update(n=n, rows=rows)
     return g
 
 
@@ -471,6 +470,7 @@ def bits_of(mask: int) -> List[int]:
     """Positions of set bits, ascending."""
     out = []
     while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out

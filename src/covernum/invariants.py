@@ -37,18 +37,25 @@ def ceil_log(base: int, x: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Coloring:
     """Proper coloring: colors[v] in 0..count-1, every color used."""
 
     colors: Tuple[int, ...]
     count: int
 
+    def __init__(self, colors: Tuple[int, ...], count: int) -> None:
+        # the instance dict written once, not one frozen setattr per field
+        self.__dict__.update(colors=colors, count=count)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class CliqueWitness:
     vertices: Tuple[int, ...]
     size: int
+
+    def __init__(self, vertices: Tuple[int, ...], size: int) -> None:
+        self.__dict__.update(vertices=vertices, size=size)
 
 
 def _max_clique(rows: Sequence[int], cand: int, bound: Optional[int] = None) -> int:

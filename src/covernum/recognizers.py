@@ -83,6 +83,11 @@ _F_FORMS: Dict[str, Tuple[Callable[["FSpec", int], int], int]] = {
     "table": (lambda f, x: f.table[x - 1], 2),
 }
 
+# Largest pow exponent.  At it, f(64) = 64 ** 100000 has 180,618 digits,
+# and `recognize` and `solve` print it for K64 in 0.6 s end to end (2-vCPU
+# Xeon, Python 3.11); unbounded, pow:100000000 on K3 ran past 20 s.
+POW_MAX = 100_000
+
 
 @dataclass(frozen=True)
 class FSpec:
@@ -92,8 +97,9 @@ class FSpec:
     values for x = 1..len).  All forms must be non-decreasing and, except
     for const, must majorize the identity.  const needs k >= 2 and a table
     two values or more, so that f(2) >= 2 and the class holds the
-    single-edge graph.  f is evaluated only when called, so a huge
-    constant costs nothing to parse.
+    single-edge graph.  pow needs a <= POW_MAX, so that f(omega) prints in
+    about a second.  f is evaluated only when called, so a huge constant
+    costs nothing to parse.
     """
 
     form: str
@@ -107,6 +113,8 @@ class FSpec:
         least = _F_FORMS[self.form][1]
         if c < least:
             raise ValueError(f"{self.form} form needs at least {least}, got {c}")
+        if self.form == "pow" and c > POW_MAX:
+            raise ValueError(f"pow form needs at most {POW_MAX}, got {c}")
         if any(b < a for a, b in zip(self.table, self.table[1:])):
             raise ValueError("table values must be non-decreasing")
         if any(v < x for x, v in enumerate(self.table, start=1)):
@@ -591,16 +599,17 @@ def _gsp_witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
     return None if res is None else {"branch": res[0], **_split_body(res[1])}
 
 
-def _digit_sides(digits: Sequence[int]) -> List[List[int]]:
-    """The vertices of digit 0 and of digit 1."""
-    return [[v for v, d in enumerate(digits) if d == side] for side in (0, 1)]
+def _digit_sides(masks: Dict[int, int]) -> List[List[int]]:
+    """The vertices of digit 0 and of digit 1, read off their masks."""
+    return [bits_of(masks.get(0, 0)), bits_of(masks.get(1, 0))]
 
 
-def _co_bipartite_split(spec: ClassSpec, digits: Sequence[int], clique: Tuple[int, ...]) -> Dict:
+def _co_bipartite_split(spec: ClassSpec, digits: List[int], masks: Dict[int, int],
+                        clique: Callable[[], Tuple[int, ...]]) -> Dict:
     """A part of a base-2 digit cover: each digit's vertices are a clique
     of the part's complement, so one is the clique side and the other the
     only cluster."""
-    side, cluster = _digit_sides(digits)
+    side, cluster = _digit_sides(masks)
     return {"clique_side": side, "clusters": [cluster]}
 
 
@@ -655,7 +664,8 @@ class Family:
     best: Optional[Callable[[Graph, int], Tuple[int, int]]] = None
 
 
-DigitWitnessFn = Callable[[ClassSpec, Sequence[int], Tuple[int, ...]], Dict]
+DigitWitnessFn = Callable[
+    [ClassSpec, List[int], Dict[int, int], Callable[[], Tuple[int, ...]]], Dict]
 
 
 @dataclass(frozen=True)
@@ -671,11 +681,13 @@ class ClassEntry:
     cover formula and construction all follow from f.  param names the
     ClassSpec field the kind takes.
 
-    digit_witness(spec, digits, clique), where declared, is the witness
-    body of a part of a digit cover (covers.digit_cover), read off the
-    construction with no search: digits[v] is vertex v's digit, a proper
-    colouring of the part, and clique is a clique of the part.  For a
-    colouring class the digits number at most f(|clique|).
+    digit_witness(spec, digits, masks, clique), where declared, is the
+    witness body of a part of a digit cover (covers.digit_cover), read off
+    the construction with no search: digits[v] is vertex v's digit, a
+    proper colouring of the part, in a list the body may keep; masks maps
+    each digit value to the mask of its vertices; and clique() returns a
+    clique of the part, found only when called.  For a colouring class
+    the digits number at most f(len(clique())).
 
     Every other class lies inside {chi = omega}, so a cover number is at
     least that of {chi = omega}, ceil_log(omega, chi).  One that declares
@@ -723,9 +735,11 @@ def _chibound_entry(f_of: Callable[[ClassSpec], FSpec], param: Optional[str]) ->
     def witness(g: Graph, spec: ClassSpec) -> Optional[Dict]:
         return clique_witness(g, spec)[0]
 
-    def digit_witness(spec: ClassSpec, digits: Sequence[int], clique: Tuple[int, ...]) -> Dict:
+    def digit_witness(spec: ClassSpec, digits: List[int], masks: Dict[int, int],
+                      clique: Callable[[], Tuple[int, ...]]) -> Dict:
         # the clique is a largest one of the part, or f is flat up to it
-        return body(list(digits), list(clique), f_of(spec)(len(clique)))
+        vertices = clique()
+        return body(digits, list(vertices), f_of(spec)(len(vertices)))
 
     def check(g: Graph, spec: ClassSpec, witness: Dict) -> bool:
         colors = witness.get("coloring")
@@ -760,11 +774,11 @@ CLASSES: Dict[str, ClassEntry] = {
     "bipartite": ClassEntry(
         lambda spec: _member_bipartite_rows, _bipartite_witness, _check_bipartite,
         f=lambda spec: _flat(2),
-        digit_witness=lambda spec, digits, clique: {"sides": _digit_sides(digits)},
+        digit_witness=lambda spec, digits, masks, clique: {"sides": _digit_sides(masks)},
     ),
     "chi-le": ClassEntry(
         _chi_le_member, _chi_le_witness, _check_chi_le, f=lambda spec: _flat(spec.k), param="k",
-        digit_witness=lambda spec, digits, clique: {"coloring": list(digits)},
+        digit_witness=lambda spec, digits, masks, clique: {"coloring": digits},
     ),
     "chi-le-f": _chibound_entry(lambda spec: spec.f, param="f"),
     "chi-eq-omega": _chibound_entry(lambda spec: IDENTITY, param=None),
@@ -772,7 +786,7 @@ CLASSES: Dict[str, ClassEntry] = {
         lambda spec: _member_perfect_rows,
         lambda g, spec: {} if is_perfect(g)[0] else None,
         lambda g, spec, witness: is_perfect(g)[0],
-        digit_witness=lambda spec, digits, clique: {},
+        digit_witness=lambda spec, digits, masks, clique: {},
     ),
     "unipolar": ClassEntry(
         lambda spec: _member_unipolar_rows,
@@ -790,8 +804,8 @@ CLASSES: Dict[str, ClassEntry] = {
     # the inclusion-maximal members of either branch's family
     "gsp": ClassEntry(
         lambda spec: _member_gsp_rows, _gsp_witness, _check_gsp,
-        digit_witness=lambda spec, digits, clique: {
-            "branch": "co-unipolar", **_co_bipartite_split(spec, digits, clique)},
+        digit_witness=lambda spec, digits, masks, clique: {
+            "branch": "co-unipolar", **_co_bipartite_split(spec, digits, masks, clique)},
         family=Family(
             lambda g: maximal_masks([*unipolar_family(g), *co_unipolar_family(g)]),
             lambda g, cap: unipolar_work(g, cap) + co_unipolar_work(g, cap),

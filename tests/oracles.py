@@ -25,8 +25,10 @@ per_pair_random_graphs and per_pair_all_graphs are the generators
 before graphs were built straight from their bit fields: bit i is pair i
 in row order, each set bit becomes an edge, and make_graph builds the
 graph.  per_edge_digit_cover is covers.digit_cover before its parts were
-built as adjacency rows from colour-class masks: it compares the
-endpoint digit strings of every edge of the edge index.
+built as adjacency rows from colour-class masks and its colours carried
+integer codes: it compares the endpoint digit strings of every edge of
+the edge index, and writes each class's part witness itself, not through
+the class registry.
 recursive_k_colorable_rows and recursive_max_clique are the DSATUR and
 clique searches before the first ran on an explicit stack and the second
 took an upper bound; recursive_chromatic_number and whole_host_is_chi_le_f
@@ -59,7 +61,7 @@ from covernum.generators import all_graphs, hypercube, kKl, splitmix64
 from covernum.graphs import (MAX_VERTICES, EdgeSet, bits_of, complement_rows, edge_index,
                              induced_rows, mask_rows)
 from covernum.invariants import ceil_log, chromatic_number, omega_of_rows
-from covernum.recognizers import (CLASSES, ClassSpec, class_f, cluster_components, find_odd_hole,
+from covernum.recognizers import (ClassSpec, class_f, cluster_components, find_odd_hole,
                                   membership_fn)
 from covernum.solver import max_class_subgraph_size, sweep_cover_number
 from covernum.structural import _bfs_rows, _clique_sides, cliques, maximal_masks
@@ -840,13 +842,35 @@ def per_edge_digit_cover(g: Graph, spec, coloring, base: int, clique) -> CoverCe
         for d in range(t):
             if su[d] != sv[d]:
                 masks[d] |= 1 << i
-    witness = CLASSES[spec.kind].digit_witness
     label = str(spec)
     wits = []
     for d, mask in enumerate(masks):
         part_clique = clique or idx[(mask & -mask).bit_length() - 1]
-        wits.append({"class": label, **witness(spec, [s[d] for s in of], part_clique)})
+        wits.append({"class": label, **_digit_body(spec, [s[d] for s in of], part_clique)})
     return CoverCertificate(g, spec, tuple(EdgeSet(g, mask) for mask in masks), tuple(wits), t)
+
+
+def _digit_body(spec: ClassSpec, digits: List[int], clique) -> Dict:
+    """The witness body of a digit cover part, written out for each class
+    from the part's vertex digits and clique."""
+    kind = spec.kind
+    sides = [[v for v, x in enumerate(digits) if x == side] for side in (0, 1)]
+    if kind == "bipartite":
+        return {"sides": sides}
+    if kind == "chi-le":
+        return {"coloring": digits}
+    if kind == "chi-le-f":
+        return {"coloring": digits, "clique": list(clique), "f_omega": spec.f(len(clique))}
+    if kind == "chi-eq-omega":
+        return {"coloring": digits, "clique": list(clique)}
+    if kind == "perfect":
+        return {}
+    split = {"clique_side": sides[0], "clusters": [sides[1]]}
+    if kind == "co-unipolar":
+        return split
+    if kind == "gsp":
+        return {"branch": "co-unipolar", **split}
+    raise ValueError(f"class {spec} has no digit cover")
 
 
 def _uncut_find_p3(rows, active: int):

@@ -275,6 +275,23 @@ def test_f_omega_past_int_str_digit_limit(capsys, monkeypatch):
         assert witness["f_omega"] == 4**8000
 
 
+def test_pow_exponent_is_bounded_at_parse_time(capsys, monkeypatch):
+    import io
+
+    from covernum.recognizers import POW_MAX, parse_class_spec
+
+    # the largest exponent parses and prints back; one more exits 2 before
+    # any graph is read, with the bound in the message
+    assert POW_MAX == 100_000
+    spec = parse_class_spec(f"chi-le-f:pow:{POW_MAX}")
+    assert spec.f.value == POW_MAX and str(spec) == "chi-le-f:pow:100000"
+    for cmd in ("recognize", "solve", "cover"):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+        code, out, err = run(capsys, cmd, "--class", f"chi-le-f:pow:{POW_MAX + 1}", "-")
+        assert code == 2 and not out
+        assert "pow form needs at most 100000, got 100001" in err
+
+
 def test_solve_c5_bipartite(capsys, tmp_path):
     path = write_graph(tmp_path, "Dhc")
     code, data, _ = run_json(capsys, "solve", "--class", "bipartite", path)

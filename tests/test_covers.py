@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -24,15 +26,18 @@ from covernum import (
     parse_class_spec,
     parse_f_spec,
     parse_family_spec,
+    parse_graph6,
     product_coloring,
     spanning_subgraph,
     unipolar_subgraph_bound,
 )
-from covernum.covers import CoverCertificate, digit_cover, formula_cover, witnessed_cover
+from covernum.covers import (CoverCertificate, digit_cover, digit_layout, formula_cover,
+                             witnessed_cover)
 from covernum.generators import all_graphs, random_graphs, triangle_free_chromatic
 from covernum.graphs import Graph, _rows_edge_set, full_edge_set
-from covernum.invariants import Coloring, bracket_coloring, check_coloring, first_fit_coloring
-from covernum.recognizers import class_f, identity_f
+from covernum.invariants import (CliqueWitness, Coloring, bracket_coloring, check_coloring,
+                                 first_fit_coloring)
+from covernum.recognizers import CLASSES, class_f, identity_f
 
 
 def test_formula_biparticity():
@@ -347,11 +352,22 @@ def test_digit_cover_matches_the_per_edge_oracle():
     # chi needs in its base, as digit_layout's does.  On six vertices only
     # covers of two or more parts are compared; a one-part cover is the
     # whole host, as on the smaller and the seeded hosts.
+    # Every class that declares a digit witness is compared too, with the
+    # base and clique the solver gives it: a colouring class's digit_layout,
+    # base 2 and no clique for the others; on every host but the 32,767 on
+    # six vertices, which the bases of the const specs already sweep.
     rng = random.Random(2426)
     hosts = [g for n in range(7) for g in all_graphs(n) if g.edge_count]
     hosts += planted_bipartite_hosts(2427, 10)
     hosts += [gnp_graph(rng, rng.randint(7, 64), rng.uniform(0.05, 0.9)) for _ in range(30)]
+    hosts += [parse_family_spec(t) for t in (
+        "mycielski:4", "mycielski:5", "complete:9", "kkl:3,5", "far:1,2", "multipartite:3,3,3,3")]
     specs = {base: parse_class_spec(f"chi-le-f:const:{base}") for base in (2, 3, 4)}
+    laid_out = [parse_class_spec(t) for t in
+                ("bipartite", "chi-le:3", "chi-le-f:identity", "chi-eq-omega")]
+    base_two = [parse_class_spec(t) for t in ("perfect", "co-unipolar", "gsp")]
+    assert ({spec.kind for spec in laid_out + base_two}
+            == {kind for kind, entry in CLASSES.items() if entry.digit_witness})
     for g in hosts:
         # on up to six vertices the exact colouring, fewest digits in every base
         coloring = chromatic_number(g)[1] if g.n <= 6 else None
@@ -364,6 +380,15 @@ def test_digit_cover_matches_the_per_edge_oracle():
             for cl in ((), clique[:base]):
                 want = per_edge_digit_cover(g, spec, coloring, base, cl)
                 assert digit_cover(g, spec, coloring, base, cl) == want, (g, base, cl)
+        if g.n == 6:
+            continue
+        layouts = [(spec, digit_layout(g, spec)) for spec in laid_out]
+        two = coloring if g.n < 6 else bracket_coloring(
+            g.n, g.rows, 2, 1, first_fit_coloring(g.n, g.rows))
+        layouts += [(spec, (two, 2, ())) for spec in base_two]
+        for spec, layout in layouts:
+            want = per_edge_digit_cover(g, spec, *layout)
+            assert digit_cover(g, spec, *layout) == want, (g, str(spec))
     # a base past a C ssize_t: digit classes are keyed by the digit
     g = parse_family_spec("mycielski:4")
     coloring = chromatic_number(g)[1]
@@ -435,3 +460,51 @@ def test_check_certificate_rejects_mutated_row_parts():
                         assert not check_certificate(g, forged(new_wits=swapped)), (g, spec, i, j)
                         seen["swapped"] += 1
     assert all(seen.values()), seen
+
+
+def test_value_types_stay_frozen_values():
+    # Certificates, colourings, cliques and derived graphs write their
+    # fields in one go; they must still refuse assignment, compare, hash,
+    # replace, pickle and print as frozen dataclasses do.
+    g = parse_graph6("Dhc")  # C5
+    assert g.edge_count == 5  # cached in the instance dict, outside every comparison
+    cert = formula_cover(g, parse_class_spec("bipartite"))
+    coloring = first_fit_coloring(g.n, g.rows)
+    clique = clique_number(g)[1]
+    edgeless = CoverCertificate(make_graph(2, []), parse_class_spec("bipartite"), (), (), 0)
+    values = [
+        (cert, CoverCertificate(host=g, spec=cert.spec, parts=cert.parts,
+                                witnesses=cert.witnesses, formula=2),
+         "CoverCertificate(host=Graph(n=5, rows=(18, 5, 10, 20, 9)), spec=ClassSpec("
+         "kind='bipartite', k=0, f=None), parts=(EdgeSet(host=Graph(n=5, rows=(18, 5, 10, "
+         "20, 9)), bits=29), EdgeSet(host=Graph(n=5, rows=(18, 5, 10, 20, 9)), bits=18)), "
+         "witnesses=({'class': 'bipartite', 'sides': [[0, 2, 4], [1, 3]]}, {'class': "
+         "'bipartite', 'sides': [[0, 1, 2, 3], [4]]}), formula=2)"),
+        (edgeless, CoverCertificate(host=make_graph(2, []), spec=parse_class_spec("bipartite"),
+                                    parts=(), witnesses=(), formula=0),
+         "CoverCertificate(host=Graph(n=2, rows=(0, 0)), spec=ClassSpec(kind='bipartite', "
+         "k=0, f=None), parts=(), witnesses=(), formula=0)"),
+        (coloring, Coloring(colors=(0, 1, 0, 1, 2), count=3),
+         "Coloring(colors=(0, 1, 0, 1, 2), count=3)"),
+        (clique, CliqueWitness(vertices=(0, 1), size=2), "CliqueWitness(vertices=(0, 1), size=2)"),
+        (g, Graph(n=5, rows=(18, 5, 10, 20, 9)), "Graph(n=5, rows=(18, 5, 10, 20, 9))"),
+    ]
+
+    def hashed(x):
+        try:
+            return hash(x)
+        except TypeError:  # a certificate's witnesses are dicts
+            return TypeError
+
+    for value, twin, text in values:
+        first = dataclasses.fields(value)[0].name
+        for name in (first, "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+        assert value == twin and hashed(value) == hashed(twin), text
+        assert dataclasses.replace(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert repr(value) == repr(twin) == text
+    assert all(hashed(v) is not TypeError for v, _, _ in values[1:])
+    assert hashed(cert) is TypeError
+    assert dataclasses.replace(coloring, count=4) == Coloring((0, 1, 0, 1, 2), 4)
