@@ -14,7 +14,7 @@ power-of-base range chi lies in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import or_
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -52,7 +52,7 @@ class CoverCertificate:
     host: Graph
     spec: ClassSpec
     parts: Tuple[EdgeSet, ...]
-    witnesses: Tuple[Dict, ...]
+    witnesses: Tuple[Dict, ...] = field(hash=False)  # dicts: compared, not hashed
     formula: int
 
     def __init__(self, host: Graph, spec: ClassSpec, parts: Tuple[EdgeSet, ...],

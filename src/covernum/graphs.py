@@ -4,20 +4,22 @@ Vertices are 0..n-1 with n <= 64, so one Python int per vertex holds the
 whole neighbourhood and most operations reduce to bitwise arithmetic.
 Graphs are immutable values: hashable, usable as cache keys, safe to share.
 
-An EdgeSet is a subset of a host graph's edges, held as a mask over the
-host's edge ids or as adjacency rows over its vertices, whichever it was
-built from; the other form is derived once, on first read.  Cover parts
+An EdgeSet is a subset of a host graph's edges, held in one form, as
+adjacency rows over all the host's vertices, so spanning subgraphs and
+certificate checks read it with no walk over edge ids.  One built from
+a mask over the host's edge ids converts the mask once; cover parts
 built from vertex masks (covers.digit_cover) and the host's own edges
-(full_edge_set) start as rows, so spanning subgraphs and certificate
-checks read them with no walk over edge ids.
+(full_edge_set) are rows from the start, and the latter shares the
+host's.  The mask is derived from the rows where it is read.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_, or_
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 MAX_VERTICES = 64
@@ -160,8 +162,8 @@ class Graph:
     def edges(self) -> List[Edge]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
         out = []
-        for u in range(self.n):
-            m = self.rows[u] >> (u + 1) << (u + 1)
+        for u, row in enumerate(self.rows):
+            m = row >> (u + 1) << (u + 1)
             while m:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
@@ -237,60 +239,30 @@ def edge_index(g: Graph) -> Tuple[Edge, ...]:
     return tuple(g.edges())
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class EdgeSet:
-    """Subset of E(host), one bit per edge id of the host's edge index.
+    """Subset of E(host), held as the edges' adjacency rows over all
+    host.n vertices, as a Graph holds its own.
 
-    An edge set holds either of two forms of the same edges: bits, the
-    mask over edge ids, or rows, the adjacency rows of the edges over all
-    host.n vertices.  EdgeSet(host, bits) builds one from its bits; a
-    digit cover's parts and full_edge_set build theirs from rows
-    (_rows_edge_set).  The other form is derived on its first read and
-    kept.  Edge sets are immutable values whose equality and hash go by
-    host and edges, whichever form they were built from.
+    EdgeSet(host, bits) builds one from bits, a mask over the host's edge
+    ids (edge_index), converted to rows once; a digit cover's parts and
+    full_edge_set are built as rows (_rows_edge_set).  bits is derived
+    from the rows on its first read.  Edge sets are immutable values
+    whose equality and hash go by host and rows, which are canonical.
     """
 
-    __slots__ = ("host", "_bits", "_rows")
+    host: Graph
+    rows: Tuple[int, ...]
 
     def __init__(self, host: Graph, bits: int) -> None:
         if bits >> host.edge_count:
             raise ValueError("edge bits outside the host's edge index")
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_rows", None)
+        self.__dict__.update(host=host, rows=tuple(mask_rows(host, bits)))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return EdgeSet, (self.host, self.bits)
-
-    @property
+    @_cached
     def bits(self) -> int:
-        bits = self._bits
-        if bits is None:
-            bits = _rows_bits(self.host, self._rows)
-            object.__setattr__(self, "_bits", bits)
-        return bits
-
-    @property
-    def rows(self) -> Tuple[int, ...]:
-        """The edges' adjacency rows over all host.n vertices."""
-        rows = self._rows
-        if rows is None:
-            rows = tuple(mask_rows(self.host, self._bits))
-            object.__setattr__(self, "_rows", rows)
-        return rows
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not EdgeSet:
-            return NotImplemented
-        return (self.host, self.bits) == (other.host, other.bits)
-
-    def __hash__(self) -> int:
-        return hash((self.host, self.bits))
+        """The mask over the host's edge ids of the edges."""
+        return _rows_bits(self.host, self.rows)
 
     def __repr__(self) -> str:
         return f"EdgeSet(host={self.host!r}, bits={self.bits!r})"
@@ -301,30 +273,20 @@ class EdgeSet:
 
     def union(self, other: "EdgeSet") -> "EdgeSet":
         self._check_host(other)
-        return EdgeSet(self.host, self.bits | other.bits)
+        return _rows_edge_set(self.host, tuple(map(or_, self.rows, other.rows)))
 
     def intersection(self, other: "EdgeSet") -> "EdgeSet":
         self._check_host(other)
-        return EdgeSet(self.host, self.bits & other.bits)
+        return _rows_edge_set(self.host, tuple(map(and_, self.rows, other.rows)))
 
     __or__ = union
     __and__ = intersection
 
     def __len__(self) -> int:
-        return self.bits.bit_count()
+        return sum(map(int.bit_count, self.rows)) // 2
 
-    def edges(self) -> List[Edge]:
-        """The edges as (u, v) pairs with u < v, in edge-id order."""
-        if self._bits is None:
-            return _derived_graph(self.host.n, self._rows).edges()
-        idx = edge_index(self.host)
-        m = self._bits
-        out = []
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            out.append(idx[i])
-        return out
+    # (u, v) pairs with u < v, in edge-id order
+    edges = Graph.edges
 
 
 def _rows_edge_set(host: Graph, rows: Tuple[int, ...]) -> EdgeSet:
@@ -332,9 +294,7 @@ def _rows_edge_set(host: Graph, rows: Tuple[int, ...]) -> EdgeSet:
     that are host's own masked symmetrically (rows[v] within host.rows[v],
     u in rows[v] iff v in rows[u]); rows is a tuple of host.n ints."""
     es = object.__new__(EdgeSet)
-    object.__setattr__(es, "host", host)
-    object.__setattr__(es, "_bits", None)
-    object.__setattr__(es, "_rows", rows)
+    es.__dict__.update(host=host, rows=rows)
     return es
 
 

@@ -84,7 +84,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .covers import CoverCertificate, digit_cover, digit_layout, witnessed_cover
-from .graphs import EdgeSet, Graph, bits_of, edge_index, mask_rows
+from .graphs import EdgeSet, Graph, bits_of, edge_index, full_edge_set, mask_rows
 from .invariants import (CliqueWitness, ceil_log, chromatic_number, first_fit_coloring,
                          omega_of_rows)
 from .recognizers import CLASSES, ClassSpec, class_f, color_bound, in_class, membership_fn
@@ -415,7 +415,7 @@ def _solve(
     if witness is not None:
         stats.family_size = 1
         stats.method = "host-member"
-        return CoverCertificate(g, spec, (EdgeSet(g, universe),), (witness,), 1)
+        return CoverCertificate(g, spec, (full_edge_set(g),), (witness,), 1)
     if cap is not None and cap < 2:  # the floor of two
         return None
     if bounded:

@@ -1,7 +1,7 @@
 import copy
 import pickle
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,8 @@ from covernum import (
     spanning_subgraph,
 )
 from covernum.generators import all_graphs
-from covernum.graphs import _rows_edge_set, bits_of, components, edge_index, neighbourhood
+from covernum.graphs import (_rows_edge_set, bits_of, components, edge_index, mask_rows,
+                             neighbourhood)
 from covernum.recognizers import parse_class_spec
 from covernum.solver import exact_cover_number
 from oracles import gnp_graph, naive_check_rows, naive_components, planted_bipartite_hosts
@@ -204,7 +205,7 @@ def test_spanning_subgraph_keeps_vertices():
         spanning_subgraph(g, full_edge_set(h))
 
 
-def _two_forms(g, mask):
+def _edge_sets(g, mask):
     """The edge set of the edge ids in mask, built from its bits and
     from its rows, the rows filled edge by edge."""
     rows = [0] * g.n
@@ -215,46 +216,46 @@ def _two_forms(g, mask):
     return EdgeSet(g, mask), _rows_edge_set(g, tuple(rows))
 
 
-def _check_forms_agree(g, mask, other):
-    a, b = _two_forms(g, mask)
+def _check_builds_agree(g, mask, other):
+    a, b = _edge_sets(g, mask)
     edges = [e for i, e in enumerate(edge_index(g)) if mask >> i & 1]
-    # edges reads each form as built; len, hash and repr derive the rows
-    # form's bits, rows the bits form's rows
     assert a.edges() == b.edges() == edges and len(a) == len(b) == len(edges), (g, mask)
     assert hash(a) == hash(b) and repr(a) == repr(b), (g, mask)
-    assert b.bits == mask and a.rows == b.rows, (g, mask)
-    c, d = _two_forms(g, other)
+    assert a.bits == b.bits == mask and a.rows == b.rows == tuple(mask_rows(g, mask)), (g, mask)
+    c, d = _edge_sets(g, other)
     assert (b == d) == (a == d) == (d == a) == (a == c) == (mask == other), (g, mask, other)
     for x, y in ((a, d), (b, c), (b, d)):
         assert (x | y).bits == mask | other and (x & y).bits == mask & other, (g, mask, other)
     assert (b | d).rows == tuple(x | y for x, y in zip(b.rows, d.rows))
+    assert (b & d).rows == tuple(x & y for x, y in zip(b.rows, d.rows))
 
 
 def test_edge_set_forms_agree():
-    # An edge set built from its edge-id bits and one built from its
-    # adjacency rows are the same value: every derived form, equality,
-    # hash, repr and the union and intersection of any two of them.
+    # An edge set holds only its host and adjacency rows: one built from
+    # edge-id bits and one built from rows are the same value, with the
+    # same bits, equality, hash, repr, union and intersection.
     rng = random.Random(2424)
     for n in range(7):
         for g in all_graphs(n):
             m = g.edge_count
-            _check_forms_agree(g, rng.getrandbits(m), rng.getrandbits(m))
+            _check_builds_agree(g, rng.getrandbits(m), rng.getrandbits(m))
     hosts = planted_bipartite_hosts(2425, 20)
     hosts += [gnp_graph(rng, rng.randint(7, 64), rng.uniform(0.05, 0.9)) for _ in range(40)]
     for g in hosts:
         m = g.edge_count
         for mask in (0, (1 << m) - 1, rng.getrandbits(m), rng.getrandbits(m)):
-            _check_forms_agree(g, mask, rng.getrandbits(m))
-            _check_forms_agree(g, mask, (1 << m) - 1)
+            _check_builds_agree(g, mask, rng.getrandbits(m))
+            _check_builds_agree(g, mask, (1 << m) - 1)
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert full_edge_set(g) == EdgeSet(g, 0b111) and full_edge_set(g).rows is g.rows
     assert full_edge_set(g) != full_edge_set(make_graph(4, [(0, 1), (1, 2)]))
-    for es in _two_forms(g, 0b101):
-        for name in ("host", "bits", "rows", "_bits", "_rows"):
+    for es in _edge_sets(g, 0b101):
+        assert [f.name for f in fields(es)] == ["host", "rows"]
+        for name in ("host", "bits", "rows"):
             with pytest.raises(FrozenInstanceError):
                 setattr(es, name, 0)
-        with pytest.raises(FrozenInstanceError):
-            del es.host
+            with pytest.raises(FrozenInstanceError):
+                delattr(es, name)
         assert es.bits == 0b101 and es.host is g
         assert pickle.loads(pickle.dumps(es)) == es == copy.deepcopy(es)
 

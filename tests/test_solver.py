@@ -143,6 +143,17 @@ def test_host_member_shortcut():
     assert res.stats.method == "host-member"
 
 
+def test_host_member_part_is_the_hosts_own_rows():
+    # K64 is co-unipolar: its one part shares the host's rows, so the
+    # certificate check and the JSON read no mask over 2,016 edge ids
+    g = complete(64)
+    res = exact_cover_number(g, parse_class_spec("co-unipolar"))
+    assert (res.value, res.stats.method) == (1, "host-member")
+    assert res.certificate.parts[0].rows is g.rows
+    assert check_certificate(g, res.certificate)
+    assert certificate_to_json(res.certificate)["parts"] == [[list(e) for e in g.edges()]]
+
+
 def test_host_member_certificate_matches_the_witnessed_copy():
     texts = sorted({t for pair in INCLUSION_PAIRS for t in pair}) + ["chi-le-f:plus:1"]
     specs = [parse_class_spec(t) for t in texts]
